@@ -98,7 +98,8 @@ class ExperimentConfig:
             if key not in doc:
                 raise ConfigError(f"config is missing required key {key!r}")
         for key, want in _CONFIG_KEYS.items():
-            if key in doc and not isinstance(doc[key], want):
+            # bool is a subclass of int, so true would otherwise count as 1
+            if key in doc and (isinstance(doc[key], bool) or not isinstance(doc[key], want)):
                 raise ConfigError(f"config key {key!r} must be a {want.__name__}")
         kinds = parse_statistics(doc["statistics"])
         kw = dict(

@@ -9,17 +9,23 @@ because discrete test statistics are compared with a raw >= and real-valued
 ties between outcome classes must stay tied in float:
 
 1. Batch-size invariance. Row k of a batched fit is bit-identical to fitting
-   row k alone. Whole-batch 2D GEMMs are avoided (BLAS picks different
-   kernels, and different summation orders, depending on the batch
-   dimension); linear predictors accumulate one covariate at a time and
-   normal-equation entries are per-row reductions over the observation axis,
-   whose pairwise trees depend only on n.
+   row k alone. Every product over the observation axis is a stacked
+   per-row matmul (`rowwise_matmul`): X'y, the linear predictors, the
+   right-hand side X'(W eta - mu + y) and X'WX, the last as one product of
+   the weights with the (n, p*p) table of column products x_i * x_j, which
+   is exactly symmetric. Each row is then its own BLAS call of a fixed
+   shape. A whole-batch 2D GEMM (W @ XX) is never used: BLAS picks
+   different kernels, and different summation orders, depending on the
+   batch dimension.
 
-2. Class invariance under an intercept-only design. X'y is then an exact
-   integer, X'mu never touches y, and the per-outcome deviance is assembled
-   with a sequential y-contraction, so every outcome vector with the same
-   success count follows the same float trajectory and lands on the same
-   fit bit-for-bit.
+2. Class invariance under an intercept-only design. The intercept entries
+   of X'y, X'WX and the right-hand side are pairwise np.sum reductions, not
+   matmul entries. X'y is then an exact integer, X'mu never touches y, and
+   the per-outcome deviance is assembled with a sequential y-contraction,
+   so every outcome vector with the same success count lands on the same
+   fit bit-for-bit. Which classes' statistics tie by rounding (the l = 0
+   Pearson statistic, see README) hangs on these exact values, so the
+   reductions that form them must keep their order.
 """
 from __future__ import annotations
 
@@ -60,7 +66,9 @@ def design_matrix(d: Dataset, spec: ModelSpec) -> np.ndarray:
 
 
 def softplus(x):
-    return np.logaddexp(0.0, x)
+    """log(1 + e^x) in the overflow-safe split form; the same formula as
+    np.logaddexp(0, x) but several times faster on large batches."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def seq_ydot(Y, d):
@@ -68,24 +76,15 @@ def seq_ydot(Y, d):
 
     Y is 0/1 so zero terms add exactly and one terms add d exactly, which
     makes the running sum depend only on the multiset of selected d values
-    whenever d is constant along a row."""
-    s = np.zeros(Y.shape[0])
-    for k in range(Y.shape[1]):
-        s = s + Y[:, k] * d[:, k]
-    return s
+    whenever d is constant along a row. cumsum adds strictly left to right,
+    unlike np.sum's pairwise tree."""
+    return np.cumsum(Y * d, axis=1)[:, -1]
 
 
-def linpred(beta, XdT, out=None):
-    """eta = beta . x per observation, accumulated one covariate at a time
-    with elementwise ops only (see module notes on batch-size invariance)."""
-    B = beta.shape[0]
-    p, n = XdT.shape
-    eta = np.zeros((B, n)) if out is None else out
-    if out is not None:
-        eta.fill(0.0)
-    for j in range(p):
-        eta += beta[:, j, None] * XdT[None, j, :]
-    return eta
+def rowwise_matmul(V, M):
+    """Row k of the result is V[k] @ M, each row its own product of fixed
+    shape (see module notes on batch-size invariance)."""
+    return np.matmul(V[:, None, :], M[None])[:, 0, :]
 
 
 def chol_solve_batch(A, rhs):
@@ -120,9 +119,10 @@ def chol_solve_batch(A, rhs):
 def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None, deviance_trace=None):
     """Fit one design against B outcome vectors at once.
 
-    Xd: (n, p) design including the intercept column. Y: (B, n) outcomes as
-    floats (exactly 0.0 or 1.0). offset: optional (n,) vector added to every
-    linear predictor; its coefficients are not estimated.
+    Xd: (n, p) design whose first column is the all-ones intercept, as
+    `design_matrix` builds it. Y: (B, n) outcomes as floats (exactly 0.0 or
+    1.0). offset: optional (n,) vector added to every linear predictor; its
+    coefficients are not estimated.
 
     Returns (beta, mu, converged, iterations) with shapes (B,p), (B,n), (B,),
     (B,). Non-convergence (iteration cap or separation pushing a linear
@@ -134,8 +134,11 @@ def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None, deviance_
     """
     Y = np.asarray(Y, dtype=np.float64)
     B, n = Y.shape
+    Xd = np.ascontiguousarray(Xd, dtype=np.float64)
     p = Xd.shape[1]
     XdT = Xd.T.copy()
+    # column i*p + j holds x_i * x_j, so one row product forms all of X'WX
+    XX = (Xd[:, :, None] * Xd[:, None, :]).reshape(n, p * p)
     clamp = cfg.mu_clamp
     eta_cap = np.log((1 - clamp) / clamp)
 
@@ -156,9 +159,8 @@ def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None, deviance_
     iters = np.zeros(B, np.int64)
     conv = np.zeros(B, bool)
 
-    XtY = np.empty((B, p))
-    for j in range(p):
-        XtY[:, j] = np.sum(Y * XdT[None, j, :], axis=1)
+    XtY = rowwise_matmul(Y, Xd)
+    XtY[:, 0] = np.sum(Y, axis=1)
 
     for it in range(1, cfg.max_iterations + 1):
         act = np.nonzero(~done)[0]
@@ -172,20 +174,13 @@ def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None, deviance_
 
         w = mu_a * (1.0 - mu_a)
         # score form of the normal equations: A beta_new = A beta + X'(y-mu),
-        # with A beta expanded through eta so no term needs a 2D GEMM
+        # with A beta expanded through eta; intercept entries are pairwise sums
         lin_a = eta_a if off is None else eta_a - off
         we = w * lin_a
-        A = np.empty((act.size, p, p))
-        rhs = np.empty((act.size, p))
-        for jj in range(p):
-            xw = w * XdT[None, jj, :]
-            for ii in range(jj, p):
-                A[:, ii, jj] = A[:, jj, ii] = np.sum(xw * XdT[None, ii, :], axis=1)
-            rhs[:, jj] = (
-                np.sum(we * XdT[None, jj, :], axis=1)
-                + XtY[act, jj]
-                - np.sum(mu_a * XdT[None, jj, :], axis=1)
-            )
+        A = rowwise_matmul(w, XX).reshape(act.size, p, p)
+        A[:, 0, 0] = np.sum(w, axis=1)
+        rhs = rowwise_matmul(we - mu_a, Xd) + XtY[act]
+        rhs[:, 0] = np.sum(we, axis=1) + XtY[act, 0] - np.sum(mu_a, axis=1)
         bnew = chol_solve_batch(A, rhs)
 
         t = np.ones(act.size)
@@ -193,7 +188,7 @@ def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None, deviance_
         slack = 1e-13 * (1.0 + np.abs(dev_a))
         for _ in range(30):
             beta_try = beta_a + t[:, None] * direction
-            eta_try = linpred(beta_try, XdT)
+            eta_try = rowwise_matmul(beta_try, XdT)
             if off is not None:
                 eta_try += off
             dev_try = 2.0 * (np.sum(softplus(eta_try), axis=1) - seq_ydot(Y_a, eta_try))

@@ -184,8 +184,10 @@ def _percell_sum(Y, f0, f1):
     values form the same multiset therefore produce bit-identical sums, so
     outcomes that are tied in exact arithmetic stay tied in float and the
     raw >= comparison in the simulation loop counts them consistently. The
-    solver cooperates: its means are arrangement-invariant, and for classes
-    that swap y with 1-y it returns exactly complementary means.
+    solver cooperates: its means are arrangement-invariant. For classes that
+    swap y with 1-y its means are complementary only to within the fit's
+    accuracy, and exactly on some pairs alone (19/20 ones at n = 39), so
+    ties between complementary classes are not guaranteed.
     """
     cells = np.where(Y == 1.0, f1, f0)
     cells.sort(axis=1)
@@ -218,16 +220,16 @@ def _half_abs_batch(Y, mu_t):
     return 0.5 * _percell_sum(Y, mu_t, 1.0 - mu_t)
 
 
-def _hl_batch(Y, mu_value, key, sizes):
-    """Grouped calibration statistic over consecutive blocks of the key order.
+def _hl_batch(Y, mu_value, order, sizes):
+    """Grouped calibration statistic over consecutive blocks of an order.
 
-    Observations are sorted by key (stable), cut into blocks of the given
-    sizes, and each block contributes (observed ones - expected)^2 over
+    Observations are taken in the given order (the stable argsort of the
+    grouping key, per row), cut into blocks of the given sizes, and each
+    block contributes (observed ones - expected)^2 over
     expected * (1 - expected/size). A block whose denominator degenerates
     contributes 0 when the count matches the degenerate expectation and
     +inf otherwise, so the simulation comparison stays well-defined.
     """
-    order = np.argsort(key, axis=1, kind="stable")
     ys = np.take_along_axis(Y, order, axis=1)
     ms = np.take_along_axis(mu_value, order, axis=1)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
@@ -287,9 +289,8 @@ def evaluate_batch(kinds, Y, mu_tested, mu_full) -> np.ndarray:
         elif kind.family == "euclidean":
             vals = _euclidean_batch(Y, mu_tested)
         else:
-            key = mu_full if kind.grouping_key is OrderingPolicy.BY_FULL_MU else mu_tested
             sizes = default_grouping(n, kind.groups).sizes
-            vals = _hl_batch(Y, mu_tested, key, sizes)
+            vals = _hl_batch(Y, mu_tested, order_for(kind.grouping_key), sizes)
         out[:, col] = vals
     return out
 
@@ -346,6 +347,5 @@ def hosmer_lemeshow(y, mu_for_value, mu_for_grouping, grouping: GroupingScheme) 
         raise ConfigError(
             f"grouping covers {grouping.n} observations but y has {y.shape[0]}"
         )
-    return float(
-        _hl_batch(_row(y), _row(mu_for_value), _row(mu_for_grouping), grouping.sizes)[0]
-    )
+    order = np.argsort(_row(mu_for_grouping), axis=1, kind="stable")
+    return float(_hl_batch(_row(y), _row(mu_for_value), order, grouping.sizes)[0])

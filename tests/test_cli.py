@@ -121,6 +121,14 @@ class TestInProcess:
         err = capsysbinary.readouterr().err
         assert b"200/200 simulations" in err
 
+    def test_boolean_simulation_count_exits_1(self, tmp_path, capsysbinary):
+        cfg = tmp_path / "bool.json"
+        cfg.write_text(json.dumps({"dataset": "finney", "dependent": "response",
+                                   "statistics": ["deviance"],
+                                   "num_simulations": True}), encoding="utf-8")
+        assert main(["--config", str(cfg)]) == 1
+        assert b"'num_simulations' must be a int" in capsysbinary.readouterr().err
+
     def test_bad_config_file(self, tmp_path, capsysbinary):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{oops", encoding="utf-8")

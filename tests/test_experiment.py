@@ -72,6 +72,14 @@ class TestFromDict:
         with pytest.raises(ConfigError, match="'tested' must be a list"):
             ExperimentConfig.from_dict(base_doc(tested="volume"))
 
+    @pytest.mark.parametrize(
+        "key", ["num_simulations", "master_seed", "inject_uniform", "inject_seed"]
+    )
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_are_not_integers(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key!r} must be a int"):
+            ExperimentConfig.from_dict(base_doc(**{key: value}))
+
     def test_tested_must_nest_in_explicit_full(self):
         with pytest.raises(ConfigError, match="'rate' is not in the full model"):
             ExperimentConfig.from_dict(base_doc(full=["volume"]))

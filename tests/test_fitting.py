@@ -14,6 +14,7 @@ from logitgof import (
     residuals,
 )
 from logitgof.fitting import fit_batch
+from logitgof.montecarlo import draw_outcomes
 
 
 def newton_reference(X, y, steps=60):
@@ -165,18 +166,71 @@ class TestBatchSemantics:
             assert conv_b[k] == conv_1[0]
             assert it_b[k] == it_1[0]
 
+    @pytest.mark.parametrize("case", ["finney-draws", "n575-p12"])
+    def test_engine_scale_batches_match_single_rows(self, finney_dataset, case):
+        # engine-sized chunks: a Finney draw batch (including separated rows
+        # that run into the iteration cap) and a wide design at n = 575
+        if case == "finney-draws":
+            spec = ModelSpec((0, 1))
+            X = design_matrix(finney_dataset, spec)
+            Y = draw_outcomes(12345, 0, 6721, fit(finney_dataset, spec).mu)
+        else:
+            rng = np.random.default_rng(575)
+            n = 575
+            z = rng.normal(size=(n, 4))
+            b = (rng.random((n, 5)) < 0.4).astype(float)
+            X = np.column_stack([np.ones(n), z, b, z[:, 0] * z[:, 2], b[:, 2] * b[:, 4]])
+            mu_gen = expit(-1.2 + X[:, 1:] @ rng.normal(scale=0.4, size=11))
+            Y = (rng.random((455, n)) < mu_gen).astype(float)
+        B, n = Y.shape
+        got = fit_batch(X, Y)
+        capped = np.nonzero(got[3] == 100)[0]
+        if case == "finney-draws":
+            assert capped.size > 0
+        sample = np.concatenate([capped[:3], np.random.default_rng(1).choice(B, 6, replace=False)])
+        # a view at an odd offset inside a larger buffer must not change a row
+        buf = np.zeros((3, n + 5))
+        for k in sample:
+            buf[1, 3 : 3 + n] = Y[k]
+            for rows in (Y[k : k + 1], buf[1:2, 3 : 3 + n]):
+                one = fit_batch(X, rows)
+                for whole, alone in zip(got, one):
+                    assert np.array_equal(whole[k], alone[0])
+        for lo, hi in ((0, 1), (1, 2), (B // 3, B // 3 + 101), (B - 77, B)):
+            part = fit_batch(X, Y[lo:hi])
+            for whole, sub in zip(got, part):
+                assert np.array_equal(whole[lo:hi], sub)
+
+    @pytest.mark.parametrize("n", [16, 39, 575])
+    def test_intercept_only_classes_share_one_fit(self, n):
+        # the ones sit at shuffled positions; every row of a success-count
+        # class must follow the same float trajectory to the same means
+        rng = np.random.default_rng(n)
+        Y = np.zeros((3 * (n + 1), n))
+        for row in range(Y.shape[0]):
+            Y[row, rng.permutation(n)[: row // 3]] = 1.0
+        beta, mu, conv, iters = fit_batch(np.ones((n, 1)), Y)
+        for s in range(n + 1):
+            rows = slice(3 * s, 3 * s + 3)
+            assert np.all(mu[rows] == mu[3 * s, 0])
+            assert np.all(beta[rows] == beta[3 * s])
+            assert np.all(iters[rows] == iters[3 * s])
+            assert np.all(conv[rows] == conv[3 * s])
+
     def test_complementary_classes_get_complementary_means(self):
-        # under an intercept-only design the 19-ones and 20-ones outcome
-        # classes of a 39-point dataset are complementary, and the solver
-        # lands on exactly complementary means for them; the tie machinery
-        # in the statistics module depends on this pair staying bit-exact
-        n = 39
-        X = np.ones((n, 1))
-        Y = np.zeros((1, n))
-        Y[0, :19] = 1.0
-        _, mu_a, _, _ = fit_batch(X, Y)
-        _, mu_b, _, _ = fit_batch(X, 1.0 - Y)
-        assert np.array_equal(mu_b, 1.0 - mu_a)
+        # swapping y with 1 - y mirrors the intercept-only fit; in float the
+        # means of classes s and n - s agree with 1 - each other to within
+        # the fit's accuracy for every pair, and bit for bit only on some
+        for n in (16, 39, 575):
+            X = np.ones((n, 1))
+            Y = (np.arange(n)[None, :] < np.arange(1, n)[:, None]).astype(float)
+            _, mu, _, _ = fit_batch(X, Y)
+            _, mu_c, _, _ = fit_batch(X, 1.0 - Y)
+            assert np.max(np.abs(mu_c - (1.0 - mu))) < 1e-8
+            if n == 39:
+                # the 19/20 pair mirrors exactly, which the statistics
+                # module's complementary tie test relies on
+                assert np.array_equal(mu_c[18], 1.0 - mu[18])
 
 
 class TestFitConfig:

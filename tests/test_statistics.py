@@ -290,6 +290,16 @@ class TestTieMachinery:
         vals = evaluate_batch(kinds, Y, mu, mu)
         assert np.array_equal(vals[0], vals[1])
 
+    @pytest.mark.parametrize("n", [16, 39, 100])
+    def test_intercept_only_pearson_is_n_for_every_class(self, n):
+        # with mu = s/n in every cell, Pearson is exactly n for 0 < s < n, so
+        # at l = 0 its P-value is 1 in exact arithmetic; the float values
+        # scatter within rounding of n (see README "Known limitations")
+        Y = (np.arange(n)[None, :] < np.arange(1, n)[:, None]).astype(float)
+        _, mu, _, _ = fit_batch(np.ones((n, 1)), Y)
+        vals = evaluate_batch(parse_statistics(["pearson-chi2"]), Y, mu, mu)[:, 0]
+        assert np.max(np.abs(vals - n)) < 1e-9
+
     @given(seed=st.integers(0, 10_000))
     def test_same_class_arrangements_tie_bitwise_end_to_end(self, seed):
         # two arrangements with the same number of ones, fitted and scored:
