@@ -8,11 +8,16 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import ConfigError, DataError, NumericalError
-from .experiment import DEFAULT_NUM_SIMULATIONS, ExperimentConfig, emit_report, run_experiment
+from .experiment import (
+    DEFAULT_NUM_SIMULATIONS,
+    ExperimentConfig,
+    emit_report,
+    read_config_doc,
+    run_experiment,
+)
 
 _STAT_HELP = (
     "comma-separated statistic labels. Plain: deviance, freeman-tukey, "
@@ -67,21 +72,8 @@ def build_parser() -> _Parser:
     return p
 
 
-def _load_config_doc(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    return doc
-
-
 def _merge(args) -> ExperimentConfig:
-    doc = _load_config_doc(args.config) if args.config else {}
+    doc = read_config_doc(args.config) if args.config else {}
     if args.dataset is not None:
         doc["dataset"] = args.dataset
     if args.dependent is not None:

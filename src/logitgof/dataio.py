@@ -8,7 +8,7 @@ d exactly.
 from __future__ import annotations
 
 import csv
-import os
+import io
 
 import numpy as np
 
@@ -22,48 +22,54 @@ def load_csv(path, dependent_name: str) -> Dataset:
     The dependent column may sit anywhere; remaining columns keep their
     header order. Parse failures name the offending data row and column.
     """
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty, expected a header row") from None
-        header = [h.strip() for h in header]
-        if dependent_name not in header:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path} is empty, expected a header row") from None
+    header = [h.strip() for h in header]
+    if dependent_name not in header:
+        raise DataError(
+            f"dependent column {dependent_name!r} not in header {header}"
+        )
+    ycol = header.index(dependent_name)
+    names = [h for j, h in enumerate(header) if j != ycol]
+    yraw = []
+    rows = []
+    for rownum, row in enumerate(reader, start=1):
+        if len(row) != len(header):
             raise DataError(
-                f"dependent column {dependent_name!r} not in header {header}"
+                f"row {rownum} has {len(row)} fields, header has {len(header)}"
             )
-        ycol = header.index(dependent_name)
-        names = [h for j, h in enumerate(header) if j != ycol]
-        yraw = []
-        rows = []
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(header):
+        vals = []
+        for j, cell in enumerate(row):
+            if j == ycol:
+                continue
+            try:
+                vals.append(float(cell))
+            except ValueError:
                 raise DataError(
-                    f"row {rownum} has {len(row)} fields, header has {len(header)}"
-                )
-            vals = []
-            for j, cell in enumerate(row):
-                if j == ycol:
-                    continue
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"cannot parse {cell!r} at row {rownum}, column {header[j]!r}"
-                    ) from None
-            ytxt = row[ycol].strip()
-            if ytxt == "0":
-                yraw.append(0)
-            elif ytxt == "1":
-                yraw.append(1)
-            else:
-                raise DataError(
-                    f"dependent value {ytxt!r} at row {rownum} is not 0 or 1"
-                )
-            rows.append(vals)
+                    f"cannot parse {cell!r} at row {rownum}, column {header[j]!r}"
+                ) from None
+        ytxt = row[ycol].strip()
+        if ytxt == "0":
+            yraw.append(0)
+        elif ytxt == "1":
+            yraw.append(1)
+        else:
+            raise DataError(
+                f"dependent value {ytxt!r} at row {rownum} is not 0 or 1"
+            )
+        rows.append(vals)
     if not rows:
         raise DataError(f"{path} has a header but no data rows")
     return ensure_valid(Dataset(yraw, rows, names))

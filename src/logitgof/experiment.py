@@ -120,13 +120,25 @@ class ExperimentConfig:
         return cls(**kw)
 
 
-def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
+def read_config_doc(path) -> dict:
+    """Read a config file's JSON object; every way the file can be unusable
+    (unreadable, not UTF-8, not JSON, not an object) is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    return ExperimentConfig.from_dict(doc)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config root must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def load_config(path) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(read_config_doc(path))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,9 @@ ties between outcome classes must stay tied in float:
    so every outcome vector with the same success count lands on the same
    fit bit-for-bit. Which classes' statistics tie by rounding (the l = 0
    Pearson statistic, see README) hangs on these exact values, so the
-   reductions that form them must keep their order.
+   reductions that form them must keep their order. fit_batch relies on
+   this: it runs an intercept-only design (without offset) once per
+   distinct success count and copies each class's fit to its rows.
 """
 from __future__ import annotations
 
@@ -131,10 +133,27 @@ def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None, deviance_
 
     deviance_trace, when a list, receives the (B,) deviance after every
     accepted step. Used by tests to assert monotonicity.
+
+    An intercept-only design without offset is fitted once per success
+    count and the results are copied to every row of that count, which
+    module note 2 makes bit-identical to fitting every row.
     """
     Y = np.asarray(Y, dtype=np.float64)
-    B, n = Y.shape
     Xd = np.ascontiguousarray(Xd, dtype=np.float64)
+    if Xd.shape[1] > 1 or offset is not None:
+        return _irls(Xd, Y, cfg, offset, deviance_trace)
+    _, first, inv = np.unique(np.sum(Y, axis=1), return_index=True, return_inverse=True)
+    trace = None if deviance_trace is None else []
+    fits = _irls(Xd, Y[first], cfg, None, trace)
+    if trace is not None:
+        deviance_trace.extend(snap[inv] for snap in trace)
+    return tuple(a[inv] for a in fits)
+
+
+def _irls(Xd, Y, cfg, offset, deviance_trace):
+    """The IRLS loop behind fit_batch: every row of Y is fitted on its own
+    trajectory, with the arguments and results fit_batch documents."""
+    B, n = Y.shape
     p = Xd.shape[1]
     XdT = Xd.T.copy()
     # column i*p + j holds x_i * x_j, so one row product forms all of X'WX

@@ -46,6 +46,18 @@ class TestSubprocess:
         assert res.returncode == 2
         assert "no such file" in res.stderr
 
+    def test_non_utf8_csv_exits_2(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("y,caf\u00e9\n1,0.5\n0,0.7\n".encode("latin-1"))
+        res = subprocess.run(
+            RUN + ["--dataset", str(p), "--dependent", "y",
+                   "--statistics", "deviance", "--num-simulations", "5"],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 2
+        assert "not UTF-8" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_degenerate_fit_exits_3(self, tmp_path):
         p = write_all_ones_csv(tmp_path)
         res = subprocess.run(
@@ -134,3 +146,15 @@ class TestInProcess:
         cfg.write_text("{oops", encoding="utf-8")
         assert main(["--config", str(cfg)]) == 1
         assert b"not valid JSON" in capsysbinary.readouterr().err
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsysbinary):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes('{"dataset": "finney", "dependent": "r\u00e9ponse"}'.encode("latin-1"))
+        assert main(["--config", str(cfg)]) == 1
+        assert b"not UTF-8" in capsysbinary.readouterr().err
+
+    def test_directory_as_dataset_exits_2(self, tmp_path, capsysbinary):
+        code = main(["--dataset", str(tmp_path), "--dependent", "y",
+                     "--statistics", "deviance", "--num-simulations", "5"])
+        assert code == 2
+        assert b"cannot read" in capsysbinary.readouterr().err

@@ -59,6 +59,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no such file"):
             load_csv(tmp_path / "absent.csv", "y")
 
+    def test_directory_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            load_csv(tmp_path, "y")
+
+    def test_non_utf8_bytes_are_a_data_error(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("y,caf\u00e9\n1,0.5\n".encode("latin-1"))
+        with pytest.raises(DataError, match="not UTF-8"):
+            load_csv(p, "y")
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("", encoding="utf-8")

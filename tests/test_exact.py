@@ -82,16 +82,19 @@ class TestRankInvariance:
 
 class TestEnumerationMechanics:
     def test_chunk_size_cannot_matter(self, monkeypatch):
+        # the tested model is intercept-only (l = 0): a wide chunk fits it
+        # once per success count, a one-row chunk fits every outcome alone
         d = Dataset(
             (np.arange(10) % 3 == 0).astype(int),
             np.linspace(-1.0, 1.0, 10)[:, None],
         )
-        kinds = parse_statistics(["ks:mu-full", "deviance", "hl:3:mu-tested"])
+        kinds = parse_statistics(["ks:mu-full", "deviance", "hl:3:mu-tested", "pearson-chi2"])
         wide = exact_pvalues(d, ModelSpec(), ModelSpec((0,)), kinds)
-        monkeypatch.setattr(exact_mod, "_CHUNK", 64)
-        narrow = exact_pvalues(d, ModelSpec(), ModelSpec((0,)), kinds)
-        for a, b in zip(wide, narrow):
-            assert abs(a.p_exact - b.p_exact) < 1e-12
+        for chunk in (64, 1):
+            monkeypatch.setattr(exact_mod, "_CHUNK", chunk)
+            narrow = exact_pvalues(d, ModelSpec(), ModelSpec((0,)), kinds)
+            for a, b in zip(wide, narrow):
+                assert abs(a.p_exact - b.p_exact) < 1e-12
 
     def test_probabilities_are_probabilities(self, make_random_dataset):
         d = make_random_dataset(31, n=11, m=2)

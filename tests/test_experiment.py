@@ -130,6 +130,26 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(p)
 
+    def test_missing_file_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(tmp_path / "absent.json")
+
+    def test_directory_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(tmp_path)
+
+    def test_non_utf8_bytes_are_a_config_error(self, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(json.dumps(base_doc(dependent="r\u00e9ponse"), ensure_ascii=False).encode("latin-1"))
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(p)
+
+    def test_non_object_root_is_a_config_error(self, tmp_path):
+        p = tmp_path / "list.json"
+        p.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(ConfigError, match="JSON object, got list"):
+            load_config(p)
+
 
 class TestBuildPlan:
     def test_full_list_sets_column_order(self):
@@ -226,6 +246,26 @@ class TestRunExperiment:
         a = run_experiment(ExperimentConfig.from_dict(doc))
         b = run_experiment(ExperimentConfig.from_dict(doc))
         assert emit_json(a) == emit_json(b)
+
+
+# every exceedance count of a seeded Finney l = 0 run. pearson-chi2 counts
+# the classes whose intercept-only Pearson value reaches the observed
+# 39.000000000000014 by rounding alone (README, Known limitations), so any
+# change to the order of the intercept-only fit's arithmetic moves it
+FINNEY_L0_COUNTS = {
+    "ks:mu-full": 0, "ks:mu-tested": 1668, "ks:residual": 1662, "deviance": 1662,
+    "freeman-tukey": 3487, "pearson-chi2": 2277, "euclidean": 1662,
+    "hl:3:mu-full": 1, "hl:3:mu-tested": 6539, "hl:5:mu-full": 0, "hl:5:mu-tested": 3892,
+}
+
+
+def test_seeded_finney_l0_report_is_pinned():
+    cfg = ExperimentConfig.from_dict(base_doc(
+        tested=[], statistics=list(FINNEY_L0_COUNTS), num_simulations=6721, master_seed=2013,
+    ))
+    r = run_experiment(cfg)
+    assert {e.statistic.label: e.exceed_count for e in r.estimates} == FINNEY_L0_COUNTS
+    assert r.estimates[5].observed_value == 39.000000000000014
 
 
 class TestEmission:

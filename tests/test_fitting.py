@@ -13,7 +13,7 @@ from logitgof import (
     fit,
     residuals,
 )
-from logitgof.fitting import fit_batch
+from logitgof.fitting import DEFAULT_FIT_CONFIG, _irls, fit_batch
 from logitgof.montecarlo import draw_outcomes
 
 
@@ -204,18 +204,39 @@ class TestBatchSemantics:
     @pytest.mark.parametrize("n", [16, 39, 575])
     def test_intercept_only_classes_share_one_fit(self, n):
         # the ones sit at shuffled positions; every row of a success-count
-        # class must follow the same float trajectory to the same means
+        # class must follow the same float trajectory to the same means.
+        # fit_batch fits each class once, so this asks the IRLS loop itself
         rng = np.random.default_rng(n)
         Y = np.zeros((3 * (n + 1), n))
         for row in range(Y.shape[0]):
             Y[row, rng.permutation(n)[: row // 3]] = 1.0
-        beta, mu, conv, iters = fit_batch(np.ones((n, 1)), Y)
+        beta, mu, conv, iters = _irls(np.ones((n, 1)), Y, DEFAULT_FIT_CONFIG, None, None)
         for s in range(n + 1):
             rows = slice(3 * s, 3 * s + 3)
             assert np.all(mu[rows] == mu[3 * s, 0])
             assert np.all(beta[rows] == beta[3 * s])
             assert np.all(iters[rows] == iters[3 * s])
             assert np.all(conv[rows] == conv[3 * s])
+
+    def test_class_path_matches_the_per_row_loop(self, finney_dataset):
+        # an engine-sized Finney l = 0 chunk, plus the s = 0 and s = n rows
+        # that never converge: fitting once per success count and copying
+        # must give every row exactly what its own IRLS run gives
+        d = finney_dataset
+        X = design_matrix(d, ModelSpec())
+        Y = draw_outcomes(12345, 0, 6721, fit(d, ModelSpec()).mu)
+        Y[100] = 0.0
+        Y[5000] = 1.0
+        trace_cls, trace_rows = [], []
+        got = fit_batch(X, Y, deviance_trace=trace_cls)
+        want = _irls(X, Y, DEFAULT_FIT_CONFIG, None, trace_rows)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert len(trace_cls) == len(trace_rows)
+        for a, b in zip(trace_cls, trace_rows):
+            assert np.array_equal(a, b)
+        assert not got[2][100] and not got[2][5000]
 
     def test_complementary_classes_get_complementary_means(self):
         # swapping y with 1 - y mirrors the intercept-only fit; in float the

@@ -19,11 +19,12 @@ from logitgof import (
 )
 
 
-def small_plan(num_simulations=2000, master_seed=42, labels=("ks:mu-full", "deviance")):
+def small_plan(num_simulations=2000, master_seed=42, labels=("ks:mu-full", "deviance"),
+               tested=ModelSpec((0,))):
     d = finney()
     return SimulationPlan(
         dataset=d,
-        tested=ModelSpec((0,)),
+        tested=tested,
         full=ModelSpec((0, 1)),
         statistics=parse_statistics(labels),
         num_simulations=num_simulations,
@@ -95,26 +96,32 @@ class TestDrawOutcomes:
         assert abs(Y.mean() - 0.3) < 0.02
 
 
+# the intercept-only tested model takes fit_batch's once-per-success-count path
+TESTED_MODELS = (ModelSpec(()), ModelSpec((0,)))
+
+
 class TestEngine:
     def test_single_simulation_matches_batch_row(self):
-        plan = small_plan(num_simulations=64)
-        _, mu_tested, _, _ = observed_statistics(plan)
         from logitgof.fitting import design_matrix, fit_batch
         from logitgof.statistics import evaluate_batch
 
-        Y = draw_outcomes(plan.master_seed, 0, 64, mu_tested)
-        _, mu_t, _, _ = fit_batch(design_matrix(plan.dataset, plan.tested), Y)
-        _, mu_f, _, _ = fit_batch(design_matrix(plan.dataset, plan.full), Y)
-        batch = evaluate_batch(plan.statistics, Y, mu_t, mu_f)
-        for k in (0, 13, 63):
-            solo = run_one_simulation(plan, k)
-            assert np.array_equal(solo, batch[k])
+        for tested in TESTED_MODELS:
+            plan = small_plan(num_simulations=64, tested=tested)
+            _, mu_tested, _, _ = observed_statistics(plan)
+            Y = draw_outcomes(plan.master_seed, 0, 64, mu_tested)
+            _, mu_t, _, _ = fit_batch(design_matrix(plan.dataset, plan.tested), Y)
+            _, mu_f, _, _ = fit_batch(design_matrix(plan.dataset, plan.full), Y)
+            batch = evaluate_batch(plan.statistics, Y, mu_t, mu_f)
+            for k in (0, 13, 63):
+                solo = run_one_simulation(plan, k)
+                assert np.array_equal(solo, batch[k])
 
     def test_worker_count_cannot_change_results(self):
-        plan = small_plan(num_simulations=3000)
-        single = estimate_pvalues(plan, workers=1)
-        threaded = estimate_pvalues(plan, workers=4)
-        assert single == threaded
+        for tested in TESTED_MODELS:
+            plan = small_plan(num_simulations=3000, tested=tested)
+            single = estimate_pvalues(plan, workers=1)
+            threaded = estimate_pvalues(plan, workers=4)
+            assert single == threaded
 
     def test_rerun_is_identical(self):
         plan = small_plan(num_simulations=1500)
