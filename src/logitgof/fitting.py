@@ -16,10 +16,12 @@ ties between outcome classes must stay tied in float:
    is exactly symmetric. Each row is then its own BLAS call of a fixed
    shape. A whole-batch 2D GEMM (W @ XX) is never used: BLAS picks
    different kernels, and different summation orders, depending on the
-   batch dimension.
+   batch dimension. The same invariance is why the IRLS loop may drop
+   finished rows from its working arrays: which other rows share an array
+   with a row, and at which position, cannot change its fit.
 
 2. Class invariance under an intercept-only design. The intercept entries
-   of X'y, X'WX and the right-hand side are pairwise np.sum reductions, not
+   of X'y, X'WX and the right-hand side are pairwise np.add.reduce sums, not
    matmul entries. X'y is then an exact integer, X'mu never touches y, and
    the per-outcome deviance is assembled with a sequential y-contraction,
    so every outcome vector with the same success count lands on the same
@@ -37,7 +39,7 @@ import numpy as np
 from scipy.special import expit
 
 from .datamodel import Dataset, FittedModel, ModelSpec
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -67,20 +69,29 @@ def design_matrix(d: Dataset, spec: ModelSpec) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def softplus(x):
+def softplus(x, out=None):
     """log(1 + e^x) in the overflow-safe split form; the same formula as
-    np.logaddexp(0, x) but several times faster on large batches."""
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    np.logaddexp(0, x) but several times faster on large batches. out, when
+    given, is an array of x's shape that receives the result."""
+    out = np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
-def seq_ydot(Y, d):
+def seq_ydot(Y, d, work=None):
     """Sequential sum_k Y[:,k] * d[:,k] down the columns.
 
     Y is 0/1 so zero terms add exactly and one terms add d exactly, which
     makes the running sum depend only on the multiset of selected d values
     whenever d is constant along a row. cumsum adds strictly left to right,
-    unlike np.sum's pairwise tree."""
-    return np.cumsum(Y * d, axis=1)[:, -1]
+    unlike np.add.reduce's pairwise tree. work, when given, is a scratch array of
+    Y's shape."""
+    work = np.multiply(Y, d, out=work)
+    np.cumsum(work, axis=1, out=work)
+    return work[:, -1].copy()
 
 
 def rowwise_matmul(V, M):
@@ -94,27 +105,39 @@ def chol_solve_batch(A, rhs):
 
     Rows whose pivot collapses relative to the diagonal (rank deficiency,
     e.g. a duplicated or constant covariate) fall back to the pseudoinverse,
-    which zeroes the null-space component instead of aborting.
+    which zeroes the null-space component instead of aborting. A stack the
+    pseudoinverse cannot handle either (non-finite entries, as when the
+    products x_i * x_j overflow) raises NumericalError.
     """
     B, p, _ = A.shape
     L = np.zeros_like(A)
-    bad = np.zeros(B, bool)
+    piv = np.empty((B, p))
+    add = np.add.reduce
     for j in range(p):
-        d = A[:, j, j] - np.sum(L[:, j, :j] ** 2, axis=1)
-        bad |= ~(d > A[:, j, j] * 1e-13)
-        d = np.where(d > 0, d, 1.0)
-        L[:, j, j] = np.sqrt(d)
-        for i in range(j + 1, p):
-            L[:, i, j] = (A[:, i, j] - np.sum(L[:, i, :j] * L[:, j, :j], axis=1)) / L[:, j, j]
+        # column j below the diagonal in one step: entry (i, j) reduces the
+        # same j products L[i, k] * L[j, k] as a per-entry loop would
+        piv[:, j] = d = A[:, j, j] - add(L[:, j, :j] ** 2, axis=1)
+        L[:, j, j] = np.sqrt(np.where(d > 0, d, 1.0))
+        L[:, j + 1:, j] = (
+            A[:, j + 1:, j] - add(L[:, j + 1:, :j] * L[:, j, None, :j], axis=2)
+        ) / L[:, j, j, None]
+    bad = ~(piv > np.diagonal(A, axis1=1, axis2=2) * 1e-13).all(axis=1)
     y = np.zeros((B, p))
     for i in range(p):
-        y[:, i] = (rhs[:, i] - np.sum(L[:, i, :i] * y[:, :i], axis=1)) / L[:, i, i]
+        y[:, i] = (rhs[:, i] - add(L[:, i, :i] * y[:, :i], axis=1)) / L[:, i, i]
     x = np.zeros((B, p))
     for i in range(p - 1, -1, -1):
-        x[:, i] = (y[:, i] - np.sum(L[:, i + 1:, i] * x[:, i + 1:], axis=1)) / L[:, i, i]
+        x[:, i] = (y[:, i] - add(L[:, i + 1:, i] * x[:, i + 1:], axis=1)) / L[:, i, i]
     if bad.any():
         idx = np.nonzero(bad)[0]
-        x[idx] = (np.linalg.pinv(A[idx]) @ rhs[idx, :, None])[..., 0]
+        try:
+            x[idx] = (np.linalg.pinv(A[idx]) @ rhs[idx, :, None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"the IRLS normal equations could not be solved ({exc}); "
+                "they are not finite when covariates are so large that the "
+                "products x_i * x_j overflow, so rescale the covariates"
+            ) from None
     return x
 
 
@@ -142,7 +165,7 @@ def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None, deviance_
     Xd = np.ascontiguousarray(Xd, dtype=np.float64)
     if Xd.shape[1] > 1 or offset is not None:
         return _irls(Xd, Y, cfg, offset, deviance_trace)
-    _, first, inv = np.unique(np.sum(Y, axis=1), return_index=True, return_inverse=True)
+    _, first, inv = np.unique(np.add.reduce(Y, axis=1), return_index=True, return_inverse=True)
     trace = None if deviance_trace is None else []
     fits = _irls(Xd, Y[first], cfg, None, trace)
     if trace is not None:
@@ -152,7 +175,11 @@ def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None, deviance_
 
 def _irls(Xd, Y, cfg, offset, deviance_trace):
     """The IRLS loop behind fit_batch: every row of Y is fitted on its own
-    trajectory, with the arguments and results fit_batch documents."""
+    trajectory, with the arguments and results fit_batch documents.
+
+    The working arrays hold only the rows still iterating. A row that
+    finishes is written to the outputs, and the working arrays are compacted
+    only on an iteration where some row finishes."""
     B, n = Y.shape
     p = Xd.shape[1]
     XdT = Xd.T.copy()
@@ -160,6 +187,17 @@ def _irls(Xd, Y, cfg, offset, deviance_trace):
     XX = (Xd[:, :, None] * Xd[:, None, :]).reshape(n, p * p)
     clamp = cfg.mu_clamp
     eta_cap = np.log((1 - clamp) / clamp)
+    add = np.add.reduce
+    work = np.empty((B, n))
+
+    def clamped_expit(eta, out=None):
+        mu = expit(eta, out=out)
+        np.maximum(mu, clamp, out=mu)
+        return np.minimum(mu, 1 - clamp, out=mu)
+
+    def deviance(Y, eta):
+        w = work[: Y.shape[0]]
+        return 2.0 * (add(softplus(eta, out=w), axis=1) - seq_ydot(Y, eta, w))
 
     beta = np.zeros((B, p))
     if offset is None:
@@ -168,76 +206,78 @@ def _irls(Xd, Y, cfg, offset, deviance_trace):
     else:
         off = np.asarray(offset, dtype=np.float64)
         eta = np.broadcast_to(off, (B, n)).copy()
-    mu = np.clip(expit(eta), clamp, 1 - clamp)
-    dev = 2.0 * (np.sum(softplus(eta), axis=1) - seq_ydot(Y, eta))
-    if deviance_trace is not None:
+    mu = clamped_expit(eta)
+    dev = deviance(Y, eta)
+    if deviance_trace is None:
+        dev_all = None
+    else:
+        dev_all = dev.copy()
         deviance_trace.append(dev.copy())
 
-    small = np.zeros(B, np.int64)
-    done = np.zeros(B, bool)
+    beta_out = np.zeros((B, p))
+    mu_out = np.zeros((B, n))
     iters = np.zeros(B, np.int64)
     conv = np.zeros(B, bool)
+    rows = np.arange(B)  # output row of each working row
+    small = np.zeros(B, np.int64)
 
     XtY = rowwise_matmul(Y, Xd)
-    XtY[:, 0] = np.sum(Y, axis=1)
+    XtY[:, 0] = add(Y, axis=1)
 
     for it in range(1, cfg.max_iterations + 1):
-        act = np.nonzero(~done)[0]
-        if act.size == 0:
+        na = rows.size
+        if na == 0:
             break
-        mu_a = mu[act]
-        Y_a = Y[act]
-        beta_a = beta[act]
-        dev_a = dev[act]
-        eta_a = eta[act]
-
-        w = mu_a * (1.0 - mu_a)
+        w = mu * (1.0 - mu)
         # score form of the normal equations: A beta_new = A beta + X'(y-mu),
         # with A beta expanded through eta; intercept entries are pairwise sums
-        lin_a = eta_a if off is None else eta_a - off
-        we = w * lin_a
-        A = rowwise_matmul(w, XX).reshape(act.size, p, p)
-        A[:, 0, 0] = np.sum(w, axis=1)
-        rhs = rowwise_matmul(we - mu_a, Xd) + XtY[act]
-        rhs[:, 0] = np.sum(we, axis=1) + XtY[act, 0] - np.sum(mu_a, axis=1)
+        we = w * (eta if off is None else eta - off)
+        A = rowwise_matmul(w, XX).reshape(na, p, p)
+        A[:, 0, 0] = add(w, axis=1)
+        rhs = rowwise_matmul(we - mu, Xd) + XtY
+        rhs[:, 0] = add(we, axis=1) + XtY[:, 0] - add(mu, axis=1)
         bnew = chol_solve_batch(A, rhs)
 
-        t = np.ones(act.size)
-        direction = bnew - beta_a
-        slack = 1e-13 * (1.0 + np.abs(dev_a))
+        t = np.ones(na)
+        direction = bnew - beta
+        slack = 1e-13 * (1.0 + np.abs(dev))
         for _ in range(30):
-            beta_try = beta_a + t[:, None] * direction
+            beta_try = beta + t[:, None] * direction
             eta_try = rowwise_matmul(beta_try, XdT)
             if off is not None:
                 eta_try += off
-            dev_try = 2.0 * (np.sum(softplus(eta_try), axis=1) - seq_ydot(Y_a, eta_try))
-            inc = dev_try > dev_a + slack
+            dev_try = deviance(Y, eta_try)
+            inc = dev_try > dev + slack
             if not inc.any():
                 break
             t[inc] *= 0.5
 
-        change = dev_a - dev_try
-        beta[act] = beta_try
-        eta[act] = eta_try
-        mu[act] = np.clip(expit(eta_try), clamp, 1 - clamp)
-        dev[act] = dev_try
-        iters[act] = it
-        if deviance_trace is not None:
-            snap = deviance_trace[-1].copy()
-            snap[act] = dev_try
-            deviance_trace.append(snap)
+        change = dev - dev_try
+        beta, eta, dev = beta_try, eta_try, dev_try
+        mu = clamped_expit(eta, out=mu)
+        if dev_all is not None:
+            dev_all[rows] = dev
+            deviance_trace.append(dev_all.copy())
 
         # declare convergence after three consecutive tiny deviance changes,
         # which rides out the flat plateau where Newton steps stop mattering
-        small_act = np.where(np.abs(change) < cfg.tolerance, small[act] + 1, 0)
-        small[act] = small_act
-        finish = small_act >= 3
-        fin_rows = act[finish]
-        conv[fin_rows] = True
-        done[fin_rows] = True
-
-    conv &= np.abs(eta).max(axis=1) <= eta_cap
-    return beta, mu, conv, iters
+        small = np.where(np.abs(change) < cfg.tolerance, small + 1, 0)
+        finish = small >= 3
+        capped = it == cfg.max_iterations
+        if not (capped or finish.any()):
+            continue
+        # write out the rows that finished, or every row at the cap
+        out = slice(None) if capped else finish
+        fin = rows[out]
+        beta_out[fin] = beta[out]
+        mu_out[fin] = mu[out]
+        iters[fin] = it
+        conv[fin] = finish[out] & (np.abs(eta[out]).max(axis=1) <= eta_cap)
+        keep = ~finish
+        rows, small = rows[keep], small[keep]
+        beta, eta, mu, dev = beta[keep], eta[keep], mu[keep], dev[keep]
+        Y, XtY = Y[keep], XtY[keep]
+    return beta_out, mu_out, conv, iters
 
 
 def fit(d: Dataset, spec: ModelSpec, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None) -> FittedModel:

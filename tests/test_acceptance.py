@@ -38,6 +38,8 @@ from logitgof.statistics import (
     parse_statistics,
 )
 
+pytestmark = pytest.mark.slow
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 REFERENCE_SIMS = 1_000_000
 SEED = 12345

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from logitgof import finney
 from logitgof.cli import main
 
 RUN = [sys.executable, "-m", "logitgof.cli"]
@@ -152,6 +153,22 @@ class TestInProcess:
         cfg.write_bytes('{"dataset": "finney", "dependent": "r\u00e9ponse"}'.encode("latin-1"))
         assert main(["--config", str(cfg)]) == 1
         assert b"not UTF-8" in capsysbinary.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_covariates_exit_3(self, tmp_path, capsysbinary):
+        # Finney's covariates times 1e155: the products x_i * x_j overflow,
+        # so the normal equations are not finite and the pseudoinverse
+        # fallback cannot solve them either
+        d = finney()
+        p = tmp_path / "huge.csv"
+        rows = "".join(f"{y},{a * 1e155!r},{b * 1e155!r}\n" for y, (a, b) in zip(d.y, d.x.tolist()))
+        p.write_text("y,volume,rate\n" + rows, encoding="utf-8")
+        code = main(["--dataset", str(p), "--dependent", "y",
+                     "--statistics", "deviance", "--num-simulations", "5"])
+        assert code == 3
+        err = capsysbinary.readouterr().err
+        assert b"could not be solved" in err
+        assert b"Traceback" not in err
 
     def test_directory_as_dataset_exits_2(self, tmp_path, capsysbinary):
         code = main(["--dataset", str(tmp_path), "--dependent", "y",

@@ -37,6 +37,150 @@ def newton_reference(X, y, steps=60):
     return beta
 
 
+# The IRLS loop in its plain form, which gathers and scatters the active
+# rows on every iteration, with its helpers and a per-entry Cholesky. It is
+# the reference the production loop must match bit for bit: compacting the
+# working arrays only when rows finish, and the fused Cholesky column, may
+# change how the work is dispatched but not one floating-point operation
+# of any row.
+
+
+def ref_softplus(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def ref_seq_ydot(Y, d):
+    return np.cumsum(Y * d, axis=1)[:, -1]
+
+
+def ref_rowwise_matmul(V, M):
+    return np.matmul(V[:, None, :], M[None])[:, 0, :]
+
+
+def ref_chol_solve_batch(A, rhs):
+    B, p, _ = A.shape
+    L = np.zeros_like(A)
+    bad = np.zeros(B, bool)
+    for j in range(p):
+        d = A[:, j, j] - np.sum(L[:, j, :j] ** 2, axis=1)
+        bad |= ~(d > A[:, j, j] * 1e-13)
+        d = np.where(d > 0, d, 1.0)
+        L[:, j, j] = np.sqrt(d)
+        for i in range(j + 1, p):
+            L[:, i, j] = (A[:, i, j] - np.sum(L[:, i, :j] * L[:, j, :j], axis=1)) / L[:, j, j]
+    y = np.zeros((B, p))
+    for i in range(p):
+        y[:, i] = (rhs[:, i] - np.sum(L[:, i, :i] * y[:, :i], axis=1)) / L[:, i, i]
+    x = np.zeros((B, p))
+    for i in range(p - 1, -1, -1):
+        x[:, i] = (y[:, i] - np.sum(L[:, i + 1:, i] * x[:, i + 1:], axis=1)) / L[:, i, i]
+    if bad.any():
+        idx = np.nonzero(bad)[0]
+        x[idx] = (np.linalg.pinv(A[idx]) @ rhs[idx, :, None])[..., 0]
+    return x
+
+
+def ref_irls(Xd, Y, cfg, offset, deviance_trace):
+    B, n = Y.shape
+    p = Xd.shape[1]
+    XdT = Xd.T.copy()
+    # column i*p + j holds x_i * x_j, so one row product forms all of X'WX
+    XX = (Xd[:, :, None] * Xd[:, None, :]).reshape(n, p * p)
+    clamp = cfg.mu_clamp
+    eta_cap = np.log((1 - clamp) / clamp)
+
+    beta = np.zeros((B, p))
+    if offset is None:
+        off = None
+        eta = np.zeros((B, n))
+    else:
+        off = np.asarray(offset, dtype=np.float64)
+        eta = np.broadcast_to(off, (B, n)).copy()
+    mu = np.clip(expit(eta), clamp, 1 - clamp)
+    dev = 2.0 * (np.sum(ref_softplus(eta), axis=1) - ref_seq_ydot(Y, eta))
+    if deviance_trace is not None:
+        deviance_trace.append(dev.copy())
+
+    small = np.zeros(B, np.int64)
+    done = np.zeros(B, bool)
+    iters = np.zeros(B, np.int64)
+    conv = np.zeros(B, bool)
+
+    XtY = ref_rowwise_matmul(Y, Xd)
+    XtY[:, 0] = np.sum(Y, axis=1)
+
+    for it in range(1, cfg.max_iterations + 1):
+        act = np.nonzero(~done)[0]
+        if act.size == 0:
+            break
+        mu_a = mu[act]
+        Y_a = Y[act]
+        beta_a = beta[act]
+        dev_a = dev[act]
+        eta_a = eta[act]
+
+        w = mu_a * (1.0 - mu_a)
+        # score form of the normal equations: A beta_new = A beta + X'(y-mu),
+        # with A beta expanded through eta; intercept entries are pairwise sums
+        lin_a = eta_a if off is None else eta_a - off
+        we = w * lin_a
+        A = ref_rowwise_matmul(w, XX).reshape(act.size, p, p)
+        A[:, 0, 0] = np.sum(w, axis=1)
+        rhs = ref_rowwise_matmul(we - mu_a, Xd) + XtY[act]
+        rhs[:, 0] = np.sum(we, axis=1) + XtY[act, 0] - np.sum(mu_a, axis=1)
+        bnew = ref_chol_solve_batch(A, rhs)
+
+        t = np.ones(act.size)
+        direction = bnew - beta_a
+        slack = 1e-13 * (1.0 + np.abs(dev_a))
+        for _ in range(30):
+            beta_try = beta_a + t[:, None] * direction
+            eta_try = ref_rowwise_matmul(beta_try, XdT)
+            if off is not None:
+                eta_try += off
+            dev_try = 2.0 * (np.sum(ref_softplus(eta_try), axis=1) - ref_seq_ydot(Y_a, eta_try))
+            inc = dev_try > dev_a + slack
+            if not inc.any():
+                break
+            t[inc] *= 0.5
+
+        change = dev_a - dev_try
+        beta[act] = beta_try
+        eta[act] = eta_try
+        mu[act] = np.clip(expit(eta_try), clamp, 1 - clamp)
+        dev[act] = dev_try
+        iters[act] = it
+        if deviance_trace is not None:
+            snap = deviance_trace[-1].copy()
+            snap[act] = dev_try
+            deviance_trace.append(snap)
+
+        # declare convergence after three consecutive tiny deviance changes,
+        # which rides out the flat plateau where Newton steps stop mattering
+        small_act = np.where(np.abs(change) < cfg.tolerance, small[act] + 1, 0)
+        small[act] = small_act
+        finish = small_act >= 3
+        fin_rows = act[finish]
+        conv[fin_rows] = True
+        done[fin_rows] = True
+
+    conv &= np.abs(eta).max(axis=1) <= eta_cap
+    return beta, mu, conv, iters
+
+
+def n575_design():
+    """A 455-row draw on a wide n = 575, p = 12 design shaped like the UIS
+    configs: standard-normal and binary covariates plus two products."""
+    rng = np.random.default_rng(575)
+    n = 575
+    z = rng.normal(size=(n, 4))
+    b = (rng.random((n, 5)) < 0.4).astype(float)
+    X = np.column_stack([np.ones(n), z, b, z[:, 0] * z[:, 2], b[:, 2] * b[:, 4]])
+    mu_gen = expit(-1.2 + X[:, 1:] @ rng.normal(scale=0.4, size=11))
+    Y = (rng.random((455, n)) < mu_gen).astype(float)
+    return X, Y
+
+
 # values the reference maximizer produces for the two-covariate model,
 # frozen so a regression in either implementation shows up as disagreement
 FINNEY_BETA = (-25.90113814, 12.12695460, 10.79880063)
@@ -175,13 +319,7 @@ class TestBatchSemantics:
             X = design_matrix(finney_dataset, spec)
             Y = draw_outcomes(12345, 0, 6721, fit(finney_dataset, spec).mu)
         else:
-            rng = np.random.default_rng(575)
-            n = 575
-            z = rng.normal(size=(n, 4))
-            b = (rng.random((n, 5)) < 0.4).astype(float)
-            X = np.column_stack([np.ones(n), z, b, z[:, 0] * z[:, 2], b[:, 2] * b[:, 4]])
-            mu_gen = expit(-1.2 + X[:, 1:] @ rng.normal(scale=0.4, size=11))
-            Y = (rng.random((455, n)) < mu_gen).astype(float)
+            X, Y = n575_design()
         B, n = Y.shape
         got = fit_batch(X, Y)
         capped = np.nonzero(got[3] == 100)[0]
@@ -200,6 +338,43 @@ class TestBatchSemantics:
             part = fit_batch(X, Y[lo:hi])
             for whole, sub in zip(got, part):
                 assert np.array_equal(whole[lo:hi], sub)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["finney-draws", "n575-p12", "offset", "duplicated-column",
+         "max-iterations-1", "max-iterations-3"],
+    )
+    def test_matches_the_reference_loop_bit_for_bit(self, finney_dataset, case, monkeypatch):
+        pinv_calls = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda a: pinv_calls.append(1) or pinv(a))
+        d = finney_dataset
+        X = design_matrix(d, ModelSpec((0, 1)))
+        Y = draw_outcomes(12345, 0, 6721, fit(d, ModelSpec((0, 1))).mu)
+        cfg, offset = DEFAULT_FIT_CONFIG, None
+        if case == "n575-p12":
+            X, Y = n575_design()
+        elif case == "offset":
+            offset = np.linspace(-1.0, 1.0, d.n)
+            Y = Y[:500]
+        elif case == "duplicated-column":
+            X = np.column_stack([X, X[:, 1]])
+            Y = Y[:300]
+        elif case.startswith("max-iterations"):
+            cfg = FitConfig(max_iterations=int(case[-1]))
+            Y = Y[:500]
+        trace, ref_trace = [], []
+        got = fit_batch(X, Y, cfg, offset=offset, deviance_trace=trace)
+        want = ref_irls(X, Y, cfg, offset, ref_trace)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert len(trace) == len(ref_trace)
+        for a, b in zip(trace, ref_trace):
+            assert np.array_equal(a, b)
+        if case == "finney-draws":
+            assert np.any(got[3] == 100)
+        assert bool(pinv_calls) == (case == "duplicated-column")
 
     @pytest.mark.parametrize("n", [16, 39, 575])
     def test_intercept_only_classes_share_one_fit(self, n):
