@@ -6,17 +6,19 @@ shapes are (B, ...) with one row per outcome vector.
 
 Two floating-point properties are load-bearing and worth spelling out,
 because discrete test statistics are compared with a raw >= and real-valued
-ties between outcome classes must stay tied in float:
+ties between outcome classes must stay tied in float; note 3 says when a
+fit stops and why intercept-only fits stop by a rule of their own:
 
 1. Batch-size invariance. Row k of a batched fit is bit-identical to fitting
    row k alone. Every product over the observation axis is a stacked
    per-row matmul (`rowwise_matmul`): X'y, the linear predictors, the
    right-hand side X'(W eta - mu + y) and X'WX, the last as one product of
-   the weights with the (n, p*p) table of column products x_i * x_j, which
-   is exactly symmetric. Each row is then its own BLAS call of a fixed
-   shape. A whole-batch 2D GEMM (W @ XX) is never used: BLAS picks
-   different kernels, and different summation orders, depending on the
-   batch dimension. The same invariance is why the IRLS loop may drop
+   the weights with the (n, p(p+1)/2) table of column products x_i * x_j,
+   i >= j, scattered into the lower triangle that the Cholesky solve reads
+   (only rows sent to the pseudoinverse are symmetrized). Each row is then
+   its own BLAS call of a fixed shape. A whole-batch 2D GEMM (W @ XX) is
+   never used: BLAS picks different kernels, and different summation
+   orders, depending on the batch dimension. The same invariance is why the IRLS loop may drop
    finished rows from its working arrays: which other rows share an array
    with a row, and at which position, cannot change its fit.
 
@@ -30,6 +32,21 @@ ties between outcome classes must stay tied in float:
    reductions that form them must keep their order. fit_batch relies on
    this: it runs an intercept-only design (without offset) once per
    distinct success count and copies each class's fit to its rows.
+
+3. Stopping. A fit with covariates (p > 1) finishes after a full step
+   (no line-search halving) whose Newton decrement lambda^2 = d'Ad, with d
+   the step and A = X'WX, is below tolerance / 100. lambda^2 / 2 is the
+   second-order estimate of the log-likelihood that step still gains (Boyd
+   & Vandenberghe, Convex Optimization, 9.5.1), and Newton's quadratic
+   convergence leaves the fit far inside the tolerance after it.
+   Every fit also finishes after three consecutive deviance changes below
+   tolerance, which alone used to stop it about three plateau iterations
+   after convergence; this rule also ends fits that never take a full
+   step, such as separated ones. Intercept-only fits keep that rule alone:
+   their exact bits decide which success classes tie by rounding (note 2),
+   and stopping them earlier moves the l = 0 Pearson ties that the bench
+   references pin. Their branch goes once the engine compares with a
+   tolerance instead of a raw >=.
 """
 from __future__ import annotations
 
@@ -103,11 +120,12 @@ def rowwise_matmul(V, M):
 def chol_solve_batch(A, rhs):
     """Solve A x = rhs across a (B,p,p) SPD stack via vectorized Cholesky.
 
+    Only the lower triangle of A is read; the upper one may hold anything.
     Rows whose pivot collapses relative to the diagonal (rank deficiency,
-    e.g. a duplicated or constant covariate) fall back to the pseudoinverse,
-    which zeroes the null-space component instead of aborting. A stack the
-    pseudoinverse cannot handle either (non-finite entries, as when the
-    products x_i * x_j overflow) raises NumericalError.
+    e.g. a duplicated or constant covariate) fall back to the pseudoinverse
+    of their symmetrized A, which zeroes the null-space component instead of
+    aborting. A stack the pseudoinverse cannot handle either (non-finite
+    entries, as when the products x_i * x_j overflow) raises NumericalError.
     """
     B, p, _ = A.shape
     L = np.zeros_like(A)
@@ -130,8 +148,10 @@ def chol_solve_batch(A, rhs):
         x[:, i] = (y[:, i] - add(L[:, i + 1:, i] * x[:, i + 1:], axis=1)) / L[:, i, i]
     if bad.any():
         idx = np.nonzero(bad)[0]
+        low = np.tril(A[idx])
+        sym = low + np.swapaxes(np.tril(low, -1), 1, 2)
         try:
-            x[idx] = (np.linalg.pinv(A[idx]) @ rhs[idx, :, None])[..., 0]
+            x[idx] = (np.linalg.pinv(sym) @ rhs[idx, :, None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"the IRLS normal equations could not be solved ({exc}); "
@@ -183,8 +203,13 @@ def _irls(Xd, Y, cfg, offset, deviance_trace):
     B, n = Y.shape
     p = Xd.shape[1]
     XdT = Xd.T.copy()
-    # column i*p + j holds x_i * x_j, so one row product forms all of X'WX
-    XX = (Xd[:, :, None] * Xd[:, None, :]).reshape(n, p * p)
+    # column k holds x_i * x_j for the k-th lower-triangle entry (i, j), so
+    # one row product forms every entry of X'WX that chol_solve_batch reads
+    ii, jj = np.tril_indices(p)
+    XX = Xd[:, ii] * Xd[:, jj]
+    # the Newton decrement d'Ad from the triangle counts off-diagonals twice
+    tri_weight = np.where(ii == jj, 1.0, 2.0)
+    decrement_stop = p > 1  # see module note 3
     clamp = cfg.mu_clamp
     eta_cap = np.log((1 - clamp) / clamp)
     add = np.add.reduce
@@ -224,6 +249,7 @@ def _irls(Xd, Y, cfg, offset, deviance_trace):
     XtY = rowwise_matmul(Y, Xd)
     XtY[:, 0] = add(Y, axis=1)
 
+    A = np.empty((B, p, p))
     for it in range(1, cfg.max_iterations + 1):
         na = rows.size
         if na == 0:
@@ -232,14 +258,17 @@ def _irls(Xd, Y, cfg, offset, deviance_trace):
         # score form of the normal equations: A beta_new = A beta + X'(y-mu),
         # with A beta expanded through eta; intercept entries are pairwise sums
         we = w * (eta if off is None else eta - off)
-        A = rowwise_matmul(w, XX).reshape(na, p, p)
-        A[:, 0, 0] = add(w, axis=1)
+        tri = rowwise_matmul(w, XX)
+        tri[:, 0] = add(w, axis=1)
+        A[:na, ii, jj] = tri
         rhs = rowwise_matmul(we - mu, Xd) + XtY
         rhs[:, 0] = add(we, axis=1) + XtY[:, 0] - add(mu, axis=1)
-        bnew = chol_solve_batch(A, rhs)
+        bnew = chol_solve_batch(A[:na], rhs)
 
         t = np.ones(na)
         direction = bnew - beta
+        if decrement_stop:
+            lam2 = add(tri * tri_weight * direction[:, ii] * direction[:, jj], axis=1)
         slack = 1e-13 * (1.0 + np.abs(dev))
         for _ in range(30):
             beta_try = beta + t[:, None] * direction
@@ -259,10 +288,13 @@ def _irls(Xd, Y, cfg, offset, deviance_trace):
             dev_all[rows] = dev
             deviance_trace.append(dev_all.copy())
 
-        # declare convergence after three consecutive tiny deviance changes,
-        # which rides out the flat plateau where Newton steps stop mattering
+        # declare convergence after a full step whose Newton decrement is
+        # tiny, or after three consecutive tiny deviance changes, which rides
+        # out the flat plateau where Newton steps stop mattering
         small = np.where(np.abs(change) < cfg.tolerance, small + 1, 0)
         finish = small >= 3
+        if decrement_stop:
+            finish |= (t == 1.0) & (lam2 < cfg.tolerance / 100)
         capped = it == cfg.max_iterations
         if not (capped or finish.any()):
             continue

@@ -139,7 +139,38 @@ def make_ordering(
     }[policy]
     if key is None:
         raise ConfigError(f"ordering '{policy.value}' needs its key vector")
-    return Ordering(np.argsort(np.asarray(key), kind="stable"), policy)
+    return Ordering(stable_argsort(np.asarray(key)[None, :])[0], policy)
+
+
+# Rows at least this long are sorted with the default (unstable) argsort
+# first; shorter rows go straight to the stable sort. Measured on a 2-vCPU
+# Xeon with numpy 2.4, per (B, n) batch of about 262,000 keys: at n = 575
+# the stable sort takes 16 ms and the fast path 7.4 ms; at n = 64 with
+# distinct keys 9.6 against 4.7 ms. At n = 39 the fitted means of Finney's
+# l = 2 draws tie on 21% of rows (repeated covariate rows and clamped
+# means), and there the fast path takes 8.7 ms against the stable sort's
+# 3.6 ms, so the crossover lies between n = 39 and 64.
+_FAST_SORT_MIN_N = 64
+
+
+def stable_argsort(keys):
+    """Row-wise np.argsort(keys, axis=1, kind="stable") of a (B, n) array.
+
+    From n = _FAST_SORT_MIN_N on, each row is sorted with the default sort
+    and only the rows whose sorted keys are not strictly increasing go to
+    the stable sort again. A row of distinct keys has exactly one ascending
+    order, so the result is the stable argsort either way. The test is
+    written with > so that NaN and equal zeros of either sign count as ties.
+    """
+    keys = np.asarray(keys)
+    if keys.shape[1] < _FAST_SORT_MIN_N:
+        return np.argsort(keys, axis=1, kind="stable")
+    order = np.argsort(keys, axis=1)
+    s = np.take_along_axis(keys, order, axis=1)
+    tied = ~(s[:, 1:] > s[:, :-1]).all(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +294,11 @@ def evaluate_batch(kinds, Y, mu_tested, mu_full) -> np.ndarray:
         o = order_cache.get(policy)
         if o is None:
             if policy is OrderingPolicy.BY_FULL_MU:
-                o = np.argsort(mu_full, axis=1, kind="stable")
+                o = stable_argsort(mu_full)
             elif policy is OrderingPolicy.BY_TESTED_MU:
-                o = np.argsort(mu_tested, axis=1, kind="stable")
+                o = stable_argsort(mu_tested)
             elif policy is OrderingPolicy.BY_RESIDUAL:
-                o = np.argsort(r, axis=1, kind="stable")
+                o = stable_argsort(r)
             else:
                 o = np.broadcast_to(np.arange(n), Y.shape)
             order_cache[policy] = o
@@ -347,5 +378,5 @@ def hosmer_lemeshow(y, mu_for_value, mu_for_grouping, grouping: GroupingScheme) 
         raise ConfigError(
             f"grouping covers {grouping.n} observations but y has {y.shape[0]}"
         )
-    order = np.argsort(_row(mu_for_grouping), axis=1, kind="stable")
+    order = stable_argsort(_row(mu_for_grouping))
     return float(_hl_batch(_row(y), _row(mu_for_value), order, grouping.sizes)[0])

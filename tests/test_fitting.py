@@ -38,11 +38,12 @@ def newton_reference(X, y, steps=60):
 
 
 # The IRLS loop in its plain form, which gathers and scatters the active
-# rows on every iteration, with its helpers and a per-entry Cholesky. It is
-# the reference the production loop must match bit for bit: compacting the
-# working arrays only when rows finish, and the fused Cholesky column, may
-# change how the work is dispatched but not one floating-point operation
-# of any row.
+# rows on every iteration, with its helpers, a per-entry Cholesky, the full
+# p * p table of X'WX and the deviance-change stopping rule alone. Intercept-
+# only fits must match it bit for bit: compacting the working arrays only
+# when rows finish, and the fused Cholesky column, may change how the work is
+# dispatched but not one floating-point operation of any row. With
+# covariates, fits must agree with it up to rounding and stop no later.
 
 
 def ref_softplus(x):
@@ -340,11 +341,50 @@ class TestBatchSemantics:
                 assert np.array_equal(whole[lo:hi], sub)
 
     @pytest.mark.parametrize(
+        "case", ["finney-draws", "offset", "max-iterations-1", "max-iterations-3"]
+    )
+    def test_matches_the_reference_loop_bit_for_bit(self, finney_dataset, case, monkeypatch):
+        # intercept-only fits keep the reference loop's stopping rule and
+        # every floating-point operation of it, through the class path and,
+        # with an offset, through the per-row loop
+        pinv_calls = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda a: pinv_calls.append(1) or pinv(a))
+        d = finney_dataset
+        X = design_matrix(d, ModelSpec())
+        Y = draw_outcomes(12345, 0, 6721, fit(d, ModelSpec()).mu)
+        # the s = 0 and s = n classes never converge
+        Y[100] = 0.0
+        Y[200] = 1.0
+        cfg, offset = DEFAULT_FIT_CONFIG, None
+        if case == "offset":
+            offset = np.linspace(-1.0, 1.0, d.n)
+            Y = Y[:500]
+        elif case.startswith("max-iterations"):
+            cfg = FitConfig(max_iterations=int(case[-1]))
+            Y = Y[:500]
+        trace, ref_trace = [], []
+        got = fit_batch(X, Y, cfg, offset=offset, deviance_trace=trace)
+        want = ref_irls(X, Y, cfg, offset, ref_trace)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert len(trace) == len(ref_trace)
+        for a, b in zip(trace, ref_trace):
+            assert np.array_equal(a, b)
+        assert not got[2][100] and not got[2][200]
+        assert not pinv_calls
+
+    @pytest.mark.parametrize(
         "case",
         ["finney-draws", "n575-p12", "offset", "duplicated-column",
          "max-iterations-1", "max-iterations-3"],
     )
-    def test_matches_the_reference_loop_bit_for_bit(self, finney_dataset, case, monkeypatch):
+    def test_agrees_with_the_reference_loop(self, finney_dataset, case, monkeypatch):
+        # with covariates a row may also stop on the Newton decrement, and
+        # X'WX is formed from its lower triangle, so bits move by rounding:
+        # every converged fit must still be a maximum at least as good as
+        # the reference loop's, reached in no more iterations
         pinv_calls = []
         pinv = np.linalg.pinv
         monkeypatch.setattr(np.linalg, "pinv", lambda a: pinv_calls.append(1) or pinv(a))
@@ -363,18 +403,39 @@ class TestBatchSemantics:
         elif case.startswith("max-iterations"):
             cfg = FitConfig(max_iterations=int(case[-1]))
             Y = Y[:500]
-        trace, ref_trace = [], []
-        got = fit_batch(X, Y, cfg, offset=offset, deviance_trace=trace)
-        want = ref_irls(X, Y, cfg, offset, ref_trace)
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert np.array_equal(a, b)
-        assert len(trace) == len(ref_trace)
-        for a, b in zip(trace, ref_trace):
-            assert np.array_equal(a, b)
+        beta, mu, conv, iters = fit_batch(X, Y, cfg, offset=offset)
+        got_pinv = bool(pinv_calls)
+        pinv_calls.clear()
+        ref_beta, _, ref_conv, ref_iters = ref_irls(X, Y, cfg, offset, None)
+        assert bool(pinv_calls) == got_pinv == (case == "duplicated-column")
+        assert np.array_equal(conv, ref_conv)
+        assert np.array_equal(iters == cfg.max_iterations, ref_iters == cfg.max_iterations)
+        assert np.all(iters <= ref_iters)
         if case == "finney-draws":
-            assert np.any(got[3] == 100)
-        assert bool(pinv_calls) == (case == "duplicated-column")
+            assert np.any(iters == 100)
+
+        def dev(b):
+            eta = b @ X.T + (0.0 if offset is None else offset)
+            return 2.0 * (np.sum(ref_softplus(eta), axis=1) - np.sum(Y * eta, axis=1))
+
+        assert np.all((dev(beta) <= dev(ref_beta) + 1e-9)[conv])
+        # the stop asks for a decrement d'Ad below tolerance / 100 on the
+        # last full step; the score X'(y - mu) it leaves is then bounded by
+        # sqrt(tolerance / 100 * largest eigenvalue of X'WX)
+        score = np.linalg.norm((Y - mu) @ X, axis=1)
+        w = mu * (1.0 - mu)
+        top = np.linalg.eigvalsh(np.einsum("bn,ni,nj->bij", w, X, X))[:, -1]
+        assert np.all((score < np.sqrt(cfg.tolerance / 100 * top))[conv])
+
+    @pytest.mark.parametrize("p", [10, 12])
+    def test_wide_design_iteration_budget(self, p):
+        # a full Newton step with a tiny decrement ends the fit; three more
+        # plateau iterations, as the deviance-change rule alone takes, would
+        # lift the mean to about 7.5
+        X, Y = n575_design()
+        _, _, conv, iters = fit_batch(X[:, :p], Y)
+        assert conv.all()
+        assert iters.mean() <= 6.1
 
     @pytest.mark.parametrize("n", [16, 39, 575])
     def test_intercept_only_classes_share_one_fit(self, n):

@@ -29,6 +29,7 @@ from logitgof import (
     residuals,
 )
 from logitgof.fitting import fit_batch
+from logitgof.statistics import _FAST_SORT_MIN_N, stable_argsort
 
 ALL_LABELS = [
     "ks:mu-full", "ks:mu-tested", "ks:residual", "ks:given",
@@ -106,6 +107,46 @@ class TestMakeOrdering:
             make_ordering(OrderingPolicy.BY_FULL_MU, mu_tested=np.array([0.5]))
         with pytest.raises(ConfigError, match="observations"):
             make_ordering(OrderingPolicy.GIVEN)
+
+
+# values that tie with each other or with themselves: NaN, zeros of both
+# signs, the clamped means and the infinities
+_TIE_VALUES = (np.nan, 0.0, -0.0, 1e-10, 1.0 - 1e-10, 0.5, np.inf, -np.inf)
+
+
+class TestStableArgsort:
+    @given(
+        n=st.sampled_from([1, 2, 39, _FAST_SORT_MIN_N - 1, _FAST_SORT_MIN_N, 575]),
+        b=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.lists(st.sampled_from(_TIE_VALUES), max_size=8),
+        constant_row=st.sampled_from([None, 1e-10, 0.5]),
+    )
+    def test_equals_the_stable_argsort(self, n, b, seed, ties, constant_row):
+        rng = np.random.default_rng(seed)
+        keys = rng.random((b, n))
+        for row in range(b):
+            if ties and rng.random() < 0.5:
+                keys[row, rng.integers(0, n, size=len(ties))] = ties
+        if constant_row is not None:
+            keys[rng.integers(0, b)] = constant_row
+        want = np.argsort(keys, axis=1, kind="stable")
+        assert np.array_equal(stable_argsort(keys), want)
+        for row in range(b):
+            assert np.array_equal(stable_argsort(keys[row : row + 1])[0], want[row])
+
+    def test_ordering_and_grouping_go_through_it(self, monkeypatch):
+        import logitgof.statistics as stats
+
+        calls = []
+        sort = stats.stable_argsort
+        monkeypatch.setattr(stats, "stable_argsort", lambda k: calls.append(k.shape) or sort(k))
+        key = np.array([0.2, 0.1, 0.1, 0.4])
+        assert make_ordering(OrderingPolicy.BY_FULL_MU, mu_full=key).sigma.tolist() == [1, 2, 0, 3]
+        hosmer_lemeshow(np.array([0.0, 1, 0, 1]), key, key, GroupingScheme((2, 2)))
+        mu = np.full((3, 4), 0.5)
+        evaluate_batch(parse_statistics(["ks:mu-full"]), np.zeros((3, 4)), mu, mu)
+        assert calls == [(1, 4), (1, 4), (3, 4)]
 
 
 def _given_order(n):
