@@ -32,6 +32,17 @@ fit stops and why intercept-only fits stop by a rule of their own:
    reductions that form them must keep their order. fit_batch relies on
    this: it runs an intercept-only design (without offset) once per
    distinct success count and copies each class's fit to its rows.
+   Fits with covariates (p > 1) have no classes to keep and use cheaper
+   per-cell forms instead, chosen once per call. Their deviance is
+   2 sum_k softplus(s_k eta_k) with s = 1 - 2y, summed as two sums of
+   nonnegative terms, max(s eta, 0) and log1p(e^-|eta|). That drops the
+   sequential contraction, and with it the cancellation between
+   sum softplus(eta) and sum y eta that left a separated row's deviance at
+   rounding noise. Their means are 1 / (1 + e^-eta), expit's own formula,
+   with one fast numpy exponential: 0.9 ms against expit's 2.8 ms, clamp
+   included, for a 455 x 575 batch on a 2-vCPU Xeon. Intercept-only fits,
+   with or without offset, keep expit, the softplus difference and the
+   contraction, operation for operation.
 
 3. Stopping. A fit with covariates (p > 1) finishes after a full step
    (no line-search halving) whose Newton decrement lambda^2 = d'Ad, with d
@@ -46,7 +57,10 @@ fit stops and why intercept-only fits stop by a rule of their own:
    their exact bits decide which success classes tie by rounding (note 2),
    and stopping them earlier moves the l = 0 Pearson ties that the bench
    references pin. Their branch goes once the engine compares with a
-   tolerance instead of a raw >=.
+   tolerance instead of a raw >=. A fit with covariates may also start
+   from a given coefficient vector instead of zero; the Monte-Carlo
+   engine starts its refits at the fit that generated the draws, which
+   saves one to two iterations each.
 """
 from __future__ import annotations
 
@@ -161,7 +175,8 @@ def chol_solve_batch(A, rhs):
     return x
 
 
-def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None, deviance_trace=None):
+def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None, deviance_trace=None,
+              start=None):
     """Fit one design against B outcome vectors at once.
 
     Xd: (n, p) design whose first column is the all-ones intercept, as
@@ -177,6 +192,9 @@ def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None, deviance_
     deviance_trace, when a list, receives the (B,) deviance after every
     accepted step. Used by tests to assert monotonicity.
 
+    start: optional (p,) coefficient vector every row's IRLS run starts
+    from instead of zero. Intercept-only designs (p == 1) ignore it.
+
     An intercept-only design without offset is fitted once per success
     count and the results are copied to every row of that count, which
     module note 2 makes bit-identical to fitting every row.
@@ -184,7 +202,7 @@ def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None, deviance_
     Y = np.asarray(Y, dtype=np.float64)
     Xd = np.ascontiguousarray(Xd, dtype=np.float64)
     if Xd.shape[1] > 1 or offset is not None:
-        return _irls(Xd, Y, cfg, offset, deviance_trace)
+        return _irls(Xd, Y, cfg, offset, deviance_trace, start)
     _, first, inv = np.unique(np.add.reduce(Y, axis=1), return_index=True, return_inverse=True)
     trace = None if deviance_trace is None else []
     fits = _irls(Xd, Y[first], cfg, None, trace)
@@ -193,7 +211,7 @@ def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None, deviance_
     return tuple(a[inv] for a in fits)
 
 
-def _irls(Xd, Y, cfg, offset, deviance_trace):
+def _irls(Xd, Y, cfg, offset, deviance_trace, start=None):
     """The IRLS loop behind fit_batch: every row of Y is fitted on its own
     trajectory, with the arguments and results fit_batch documents.
 
@@ -220,19 +238,57 @@ def _irls(Xd, Y, cfg, offset, deviance_trace):
         np.maximum(mu, clamp, out=mu)
         return np.minimum(mu, 1 - clamp, out=mu)
 
-    def deviance(Y, eta):
+    def clamped_logistic(eta, out=None):
+        # 1 / (1 + e^-eta), expit's own formula, in one fast exponential; an
+        # overflow to inf gives mu = 0, which the clamp lifts
+        mu = np.negative(eta, out=out)
+        with np.errstate(over="ignore"):
+            np.exp(mu, out=mu)
+        mu += 1.0
+        np.reciprocal(mu, out=mu)
+        np.maximum(mu, clamp, out=mu)
+        return np.minimum(mu, 1 - clamp, out=mu)
+
+    def ydot_deviance(Y, eta):
         w = work[: Y.shape[0]]
         return 2.0 * (add(softplus(eta, out=w), axis=1) - seq_ydot(Y, eta, w))
 
+    def percell_deviance(S, eta):
+        # sum_k softplus(s_k eta_k), s = 1 - 2y, as two sums of nonnegative
+        # terms: log1p(e^-|eta|) and max(s eta, 0)
+        w = work[: S.shape[0]]
+        np.abs(eta, out=w)
+        np.negative(w, out=w)
+        np.exp(w, out=w)
+        np.log1p(w, out=w)
+        soft = add(w, axis=1)
+        np.multiply(S, eta, out=w)
+        np.maximum(w, 0.0, out=w)
+        return 2.0 * (soft + add(w, axis=1))
+
+    # module notes 2 and 3: intercept-only fits keep their exact operations
+    # and stop on deviance changes alone; fits with covariates iterate on
+    # the signs s = 1 - 2y and may start away from zero
+    XtY = rowwise_matmul(Y, Xd)
+    XtY[:, 0] = add(Y, axis=1)
+    if p > 1:
+        cells, mean, deviance = 1.0 - 2.0 * Y, clamped_logistic, percell_deviance
+    else:
+        cells, mean, deviance, start = Y, clamped_expit, ydot_deviance, None
+
     beta = np.zeros((B, p))
-    if offset is None:
-        off = None
+    off = None if offset is None else np.asarray(offset, dtype=np.float64)
+    if start is not None:
+        beta[:] = start
+        eta = rowwise_matmul(beta, XdT)
+        if off is not None:
+            eta += off
+    elif off is None:
         eta = np.zeros((B, n))
     else:
-        off = np.asarray(offset, dtype=np.float64)
         eta = np.broadcast_to(off, (B, n)).copy()
-    mu = clamped_expit(eta)
-    dev = deviance(Y, eta)
+    mu = mean(eta)
+    dev = deviance(cells, eta)
     if deviance_trace is None:
         dev_all = None
     else:
@@ -246,23 +302,25 @@ def _irls(Xd, Y, cfg, offset, deviance_trace):
     rows = np.arange(B)  # output row of each working row
     small = np.zeros(B, np.int64)
 
-    XtY = rowwise_matmul(Y, Xd)
-    XtY[:, 0] = add(Y, axis=1)
-
     A = np.empty((B, p, p))
     for it in range(1, cfg.max_iterations + 1):
         na = rows.size
         if na == 0:
             break
-        w = mu * (1.0 - mu)
         # score form of the normal equations: A beta_new = A beta + X'(y-mu),
-        # with A beta expanded through eta; intercept entries are pairwise sums
-        we = w * (eta if off is None else eta - off)
+        # with A beta expanded through eta; intercept entries are pairwise
+        # sums. The weights w = mu(1 - mu), then w * eta, then w * eta - mu
+        # take turns in the work buffer
+        w = np.subtract(1.0, mu, out=work[:na])
+        w *= mu
         tri = rowwise_matmul(w, XX)
         tri[:, 0] = add(w, axis=1)
         A[:na, ii, jj] = tri
-        rhs = rowwise_matmul(we - mu, Xd) + XtY
-        rhs[:, 0] = add(we, axis=1) + XtY[:, 0] - add(mu, axis=1)
+        w *= eta if off is None else eta - off
+        rhs0 = add(w, axis=1) + XtY[:, 0] - add(mu, axis=1)
+        w -= mu
+        rhs = rowwise_matmul(w, Xd) + XtY
+        rhs[:, 0] = rhs0
         bnew = chol_solve_batch(A[:na], rhs)
 
         t = np.ones(na)
@@ -275,7 +333,7 @@ def _irls(Xd, Y, cfg, offset, deviance_trace):
             eta_try = rowwise_matmul(beta_try, XdT)
             if off is not None:
                 eta_try += off
-            dev_try = deviance(Y, eta_try)
+            dev_try = deviance(cells, eta_try)
             inc = dev_try > dev + slack
             if not inc.any():
                 break
@@ -283,7 +341,7 @@ def _irls(Xd, Y, cfg, offset, deviance_trace):
 
         change = dev - dev_try
         beta, eta, dev = beta_try, eta_try, dev_try
-        mu = clamped_expit(eta, out=mu)
+        mu = mean(eta, out=mu)
         if dev_all is not None:
             dev_all[rows] = dev
             deviance_trace.append(dev_all.copy())
@@ -308,7 +366,7 @@ def _irls(Xd, Y, cfg, offset, deviance_trace):
         keep = ~finish
         rows, small = rows[keep], small[keep]
         beta, eta, mu, dev = beta[keep], eta[keep], mu[keep], dev[keep]
-        Y, XtY = Y[keep], XtY[keep]
+        cells, XtY = cells[keep], XtY[keep]
     return beta_out, mu_out, conv, iters
 
 

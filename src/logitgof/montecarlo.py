@@ -9,6 +9,28 @@ Determinism is a hard requirement here. Every simulation's randomness comes
 from a counter-based generator keyed by (master_seed, simulation index), and
 all fitting and statistic kernels are batch-size invariant, so the resulting
 counts do not depend on chunking or on the number of worker threads.
+
+Refits start at the generating fit, not at zero: the tested refit at the
+observed tested coefficients, the full refit at the same coefficients with
+zero on the full model's extra columns. Draws scatter around the
+generating means, so this saves one to two IRLS iterations per refit with
+covariates (synth-n575 draws: 5.98 to 4.46 tested, 5.99 to 4.67 full). The
+observed full fit is a worse start for the full refit: on Finney's l = 0
+draws it takes 6.12 iterations against 4.28 from zero. Two rules keep the
+P-value the one the zero-start fits define:
+
+- The observed values come from refitting the observed outcomes from the
+  same starts. A draw equal to them is then refitted to the same bits, by
+  batch-size invariance, and ties with the observed values exactly. The
+  generating means are those of the zero-start fit, as `fit` gives them.
+- If the observed tested fit did not converge, both refits start at zero.
+  A separated fit's diverging coefficients are no start: refits from them
+  stop elsewhere than zero-start ones.
+
+The exact oracle (`exact.py`) keeps the zero start. It refits every one of
+the 2^n outcomes, most of them far from the observed data, and a warm
+start there costs iterations: on the bench's n = 16 lattice it raised the
+mean from 4.45 to 5.56 (tested) and from 5.37 to 6.11 (full).
 """
 from __future__ import annotations
 
@@ -102,29 +124,59 @@ def draw_outcomes(master_seed: int, start: int, stop: int, mu_gen: np.ndarray) -
     return (u < mu_gen[None, :]).astype(np.float64)
 
 
-def _fit_means(Xd_tested, Xd_full, Y, cfg, same):
-    _, mu_t, conv_t, _ = fit_batch(Xd_tested, Y, cfg)
-    if same:
-        return mu_t, mu_t, conv_t
-    _, mu_f, conv_f, _ = fit_batch(Xd_full, Y, cfg)
-    return mu_t, mu_f, conv_t & conv_f
+class _Engine:
+    """What every simulation of a plan shares: both design matrices, the
+    generating fit and the starts of the two refits (module docstring)."""
+
+    def __init__(self, plan: SimulationPlan):
+        d = plan.dataset
+        self.plan = plan
+        self.Xd_tested = design_matrix(d, plan.tested)
+        self.same = plan.tested.included == plan.full.included
+        self.Xd_full = self.Xd_tested if self.same else design_matrix(d, plan.full)
+        self.y_obs = d.y.astype(np.float64)[None, :]
+        beta, mu, conv, _ = fit_batch(self.Xd_tested, self.y_obs, plan.fit_config)
+        self.mu_gen, self.converged = mu[0], bool(conv[0])
+        self.start_tested = self.start_full = None
+        if self.converged:
+            self.start_tested = beta[0]
+            cols = [0] + [1 + plan.full.included.index(j) for j in plan.tested.included]
+            self.start_full = np.zeros(self.Xd_full.shape[1])
+            self.start_full[cols] = beta[0]
+
+    def evaluate(self, Y):
+        """Refit both models to the outcome rows Y and evaluate every
+        statistic; returns the (B, statistics) values."""
+        cfg = self.plan.fit_config
+        _, mu_t, _, _ = fit_batch(self.Xd_tested, Y, cfg, start=self.start_tested)
+        mu_f = mu_t
+        if not self.same:
+            _, mu_f, _, _ = fit_batch(self.Xd_full, Y, cfg, start=self.start_full)
+        return evaluate_batch(self.plan.statistics, Y, mu_t, mu_f)
+
+    def observed(self):
+        """(StatisticKind, value) pairs for the observed outcomes, refitted
+        as a draw equal to them is."""
+        vals = self.evaluate(self.y_obs)[0]
+        return list(zip(self.plan.statistics, (float(v) for v in vals)))
 
 
 def observed_statistics(plan: SimulationPlan):
     """Fit both models to the real data and evaluate every statistic.
 
     Returns (values, mu_tested, mu_full, converged) where values is a list
-    of (StatisticKind, float) in plan order.
+    of (StatisticKind, float) in plan order. The means and the flag are the
+    observed-data fits started at zero, as `fit` gives them; mu_tested
+    generates the Monte-Carlo draws. The values come from refitting the
+    observed outcomes from the simulations' starts (module docstring).
     """
-    d = plan.dataset
-    Xd_tested = design_matrix(d, plan.tested)
-    Xd_full = design_matrix(d, plan.full)
-    same = plan.tested.included == plan.full.included
-    Y = d.y.astype(np.float64)[None, :]
-    mu_t, mu_f, conv = _fit_means(Xd_tested, Xd_full, Y, plan.fit_config, same)
-    vals = evaluate_batch(plan.statistics, Y, mu_t, mu_f)[0]
-    pairs = list(zip(plan.statistics, (float(v) for v in vals)))
-    return pairs, mu_t[0], mu_f[0], bool(conv[0])
+    eng = _Engine(plan)
+    pairs = eng.observed()
+    mu_f, conv = eng.mu_gen, eng.converged
+    if not eng.same:
+        _, mu, c, _ = fit_batch(eng.Xd_full, eng.y_obs, plan.fit_config)
+        mu_f, conv = mu[0], conv and bool(c[0])
+    return pairs, eng.mu_gen, mu_f, conv
 
 
 def run_one_simulation(plan: SimulationPlan, index: int) -> np.ndarray:
@@ -132,16 +184,8 @@ def run_one_simulation(plan: SimulationPlan, index: int) -> np.ndarray:
     row that a batched run produces for the same index."""
     if not 0 <= index < plan.num_simulations:
         raise ConfigError(f"simulation index {index} outside 0..{plan.num_simulations - 1}")
-    d = plan.dataset
-    Xd_tested = design_matrix(d, plan.tested)
-    Xd_full = design_matrix(d, plan.full)
-    same = plan.tested.included == plan.full.included
-    mu_gen, _, _ = _fit_means(
-        Xd_tested, Xd_full, d.y.astype(np.float64)[None, :], plan.fit_config, same
-    )
-    Y = draw_outcomes(plan.master_seed, index, index + 1, mu_gen[0])
-    mu_t, mu_f, _ = _fit_means(Xd_tested, Xd_full, Y, plan.fit_config, same)
-    return evaluate_batch(plan.statistics, Y, mu_t, mu_f)[0]
+    eng = _Engine(plan)
+    return eng.evaluate(draw_outcomes(plan.master_seed, index, index + 1, eng.mu_gen))[0]
 
 
 def _chunk_size(n: int) -> int:
@@ -162,16 +206,12 @@ def estimate_pvalues(plan: SimulationPlan, workers: int = 1, progress=None):
     """
     if workers < 1:
         raise ConfigError("workers must be at least 1")
-    d = plan.dataset
-    observed, mu_tested, _, _ = observed_statistics(plan)
+    eng = _Engine(plan)
+    observed = eng.observed()
     obs_vals = np.array([v for _, v in observed])
 
-    Xd_tested = design_matrix(d, plan.tested)
-    Xd_full = design_matrix(d, plan.full)
-    same = plan.tested.included == plan.full.included
-
     i = plan.num_simulations
-    chunk = _chunk_size(d.n)
+    chunk = _chunk_size(plan.dataset.n)
     spans = [(s, min(s + chunk, i)) for s in range(0, i, chunk)]
     lock = threading.Lock()
     done_sims = 0
@@ -179,9 +219,8 @@ def estimate_pvalues(plan: SimulationPlan, workers: int = 1, progress=None):
     def run_span(span):
         nonlocal done_sims
         start, stop = span
-        Y = draw_outcomes(plan.master_seed, start, stop, mu_tested)
-        mu_t, mu_f, _ = _fit_means(Xd_tested, Xd_full, Y, plan.fit_config, same)
-        vals = evaluate_batch(plan.statistics, Y, mu_t, mu_f)
+        Y = draw_outcomes(plan.master_seed, start, stop, eng.mu_gen)
+        vals = eng.evaluate(Y)
         counts = np.sum(vals >= obs_vals[None, :], axis=0).astype(np.int64)
         if progress is not None:
             with lock:

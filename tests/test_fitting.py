@@ -437,6 +437,17 @@ class TestBatchSemantics:
         assert conv.all()
         assert iters.mean() <= 6.1
 
+    @pytest.mark.parametrize("p", [10, 12])
+    def test_warm_start_iteration_budget(self, p):
+        # started at the fit of one draw, as the Monte-Carlo engine starts
+        # its refits at the generating fit, the other draws need about one
+        # iteration fewer: 4.76 and 4.92 against 5.74 and 5.89 from zero
+        X, Y = n575_design()
+        start = fit_batch(X[:, :p], Y[:1])[0][0]
+        _, _, conv, iters = fit_batch(X[:, :p], Y, start=start)
+        assert conv.all()
+        assert iters.mean() <= 5.0
+
     @pytest.mark.parametrize("n", [16, 39, 575])
     def test_intercept_only_classes_share_one_fit(self, n):
         # the ones sit at shuffled positions; every row of a success-count
@@ -488,6 +499,73 @@ class TestBatchSemantics:
                 # the 19/20 pair mirrors exactly, which the statistics
                 # module's complementary tie test relies on
                 assert np.array_equal(mu_c[18], 1.0 - mu[18])
+
+
+def start_cases(case, finney_dataset):
+    """A design, its draws and the generating fit's coefficients."""
+    if case == "finney-draws":
+        spec = ModelSpec((0, 1))
+        X = design_matrix(finney_dataset, spec)
+        f = fit(finney_dataset, spec)
+        return X, draw_outcomes(12345, 0, 6721, f.mu), np.array([f.intercept, *f.coefficients])
+    X, Y = n575_design()
+    return X, Y, fit_batch(X, Y[:1])[0][0]
+
+
+class TestStart:
+    @pytest.mark.parametrize("case", ["finney-draws", "n575-p12"])
+    def test_agrees_with_the_zero_start(self, finney_dataset, case):
+        # a start changes the path, not the fit: the same rows converge and
+        # run into the cap, and each converged fit is as good a maximum
+        X, Y, start = start_cases(case, finney_dataset)
+        cfg = DEFAULT_FIT_CONFIG
+        beta, mu, conv, iters = fit_batch(X, Y, start=start)
+        zero_beta, _, zero_conv, zero_iters = fit_batch(X, Y)
+        assert np.array_equal(conv, zero_conv)
+        assert np.array_equal(iters == cfg.max_iterations, zero_iters == cfg.max_iterations)
+        if case == "finney-draws":
+            assert np.any(iters == cfg.max_iterations)
+        assert iters.mean() < zero_iters.mean()
+
+        def dev(b):
+            eta = b @ X.T
+            return 2.0 * (np.sum(ref_softplus(eta), axis=1) - np.sum(Y * eta, axis=1))
+
+        assert np.all((dev(beta) <= dev(zero_beta) + 1e-9)[conv])
+        score = np.linalg.norm((Y - mu) @ X, axis=1)
+        w = mu * (1.0 - mu)
+        top = np.linalg.eigvalsh(np.einsum("bn,ni,nj->bij", w, X, X))[:, -1]
+        assert np.all((score < np.sqrt(cfg.tolerance / 100 * top))[conv])
+
+    @pytest.mark.parametrize("case", ["finney-draws", "n575-p12"])
+    def test_batches_match_single_rows(self, finney_dataset, case):
+        X, Y, start = start_cases(case, finney_dataset)
+        B, n = Y.shape
+        got = fit_batch(X, Y, start=start)
+        capped = np.nonzero(got[3] == 100)[0]
+        sample = np.concatenate([capped[:3], np.random.default_rng(2).choice(B, 6, replace=False)])
+        buf = np.zeros((3, n + 5))
+        for k in sample:
+            buf[1, 3 : 3 + n] = Y[k]
+            for rows in (Y[k : k + 1], buf[1:2, 3 : 3 + n]):
+                one = fit_batch(X, rows, start=start)
+                for whole, alone in zip(got, one):
+                    assert np.array_equal(whole[k], alone[0])
+        for lo, hi in ((0, 1), (B // 3, B // 3 + 101), (B - 77, B)):
+            part = fit_batch(X, Y[lo:hi], start=start)
+            for whole, sub in zip(got, part):
+                assert np.array_equal(whole[lo:hi], sub)
+
+    @pytest.mark.parametrize("offset", [False, True])
+    def test_intercept_only_fits_ignore_it(self, finney_dataset, offset):
+        d = finney_dataset
+        X = design_matrix(d, ModelSpec())
+        Y = draw_outcomes(12345, 0, 500, fit(d, ModelSpec()).mu)
+        off = np.linspace(-1.0, 1.0, d.n) if offset else None
+        got = fit_batch(X, Y, offset=off, start=np.array([0.7]))
+        want = fit_batch(X, Y, offset=off)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestFitConfig:

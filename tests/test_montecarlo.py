@@ -100,21 +100,88 @@ class TestDrawOutcomes:
 TESTED_MODELS = (ModelSpec(()), ModelSpec((0,)))
 
 
-class TestEngine:
-    def test_single_simulation_matches_batch_row(self):
-        from logitgof.fitting import design_matrix, fit_batch
-        from logitgof.statistics import evaluate_batch
+def engine_chunks(plan, monkeypatch):
+    """The statistic values of every simulated chunk, in simulation order,
+    taken from estimate_pvalues' own call."""
+    from logitgof import montecarlo
 
-        for tested in TESTED_MODELS:
+    chunks = []
+    evaluate = montecarlo.evaluate_batch
+
+    def spy(*args):
+        chunks.append(evaluate(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(montecarlo, "evaluate_batch", spy)
+    estimate_pvalues(plan)
+    monkeypatch.undo()
+    # the first call evaluates the observed outcomes
+    return chunks[1:]
+
+
+class TestEngine:
+    def test_single_simulation_matches_batch_row(self, monkeypatch):
+        # the batch is the engine's own chunk, refitted from the same starts;
+        # tested = full runs one refit per draw
+        for tested in (*TESTED_MODELS, ModelSpec((0, 1))):
             plan = small_plan(num_simulations=64, tested=tested)
-            _, mu_tested, _, _ = observed_statistics(plan)
-            Y = draw_outcomes(plan.master_seed, 0, 64, mu_tested)
-            _, mu_t, _, _ = fit_batch(design_matrix(plan.dataset, plan.tested), Y)
-            _, mu_f, _, _ = fit_batch(design_matrix(plan.dataset, plan.full), Y)
-            batch = evaluate_batch(plan.statistics, Y, mu_t, mu_f)
+            chunks = engine_chunks(plan, monkeypatch)
+            assert len(chunks) == 1 and chunks[0].shape[0] == 64
+            batch = chunks[0]
             for k in (0, 13, 63):
                 solo = run_one_simulation(plan, k)
                 assert np.array_equal(solo, batch[k])
+
+    @pytest.mark.parametrize("tested", [(), (0,), (0, 1)])
+    def test_a_draw_equal_to_the_data_reproduces_the_observed_values(self, tested):
+        # the observed values come from refitting the data from the starts
+        # the draws are refitted from, so a simulated row equal to the data
+        # ties with them exactly, wherever it sits in a chunk
+        from logitgof.montecarlo import _Engine
+
+        labels = ("ks:mu-full", "ks:mu-tested", "kuiper:mu-full", "deviance",
+                  "pearson-chi2", "hl:5:mu-full", "hl:3:mu-tested")
+        plan = small_plan(num_simulations=500, labels=labels, tested=ModelSpec(tested))
+        obs = np.array([e.observed_value for e in estimate_pvalues(plan)])
+        eng = _Engine(plan)
+        assert eng.converged and eng.start_full is not None
+        Y = draw_outcomes(plan.master_seed, 0, 500, eng.mu_gen)
+        rows = [0, 17, 250, 499]
+        Y[rows] = plan.dataset.y
+        vals = eng.evaluate(Y)
+        for k in rows:
+            assert np.array_equal(vals[k], obs)
+
+    @pytest.mark.parametrize("case", ["separated-n10", "quasi-separated"])
+    def test_separated_observed_fit_starts_the_refits_at_zero(self, make_random_dataset, case):
+        # an observed tested fit that did not converge is no start: refits
+        # that begin at its diverging coefficients stop elsewhere than the
+        # exact oracle's zero-start refits, which moves the deviance P-value
+        # of the quasi-separated case from .444 to about .666
+        from logitgof import exact_pvalues
+        from logitgof.montecarlo import _Engine
+
+        if case == "separated-n10":
+            d = make_random_dataset(seed=402, n=10, m=2)
+            tested = ModelSpec((0, 1))
+        else:
+            # y = 0 left of x1 = 0, y = 1 right of it, mixed on the boundary
+            x1 = np.array([-2, -1.5, -1, -0.5, 0, 0, 0, 0.5, 1, 1.5])
+            x2 = np.random.default_rng(3).normal(size=10)
+            d = Dataset([0, 0, 0, 0, 1, 0, 1, 1, 1, 1], np.column_stack([x1, x2]))
+            tested = ModelSpec((0,))
+        kinds = parse_statistics(["ks:mu-full", "deviance", "pearson-chi2"])
+        i = 3000
+        plan = SimulationPlan(
+            dataset=d, tested=tested, full=ModelSpec((0, 1)),
+            statistics=kinds, num_simulations=i, master_seed=502,
+        )
+        eng = _Engine(plan)
+        assert not eng.converged and eng.start_tested is None and eng.start_full is None
+        oracle = exact_pvalues(d, plan.tested, plan.full, kinds)
+        for e, ex in zip(estimate_pvalues(plan), oracle):
+            se = math.sqrt(ex.p_exact * (1.0 - ex.p_exact) / i)
+            assert abs(e.p_hat - ex.p_exact) <= 4.0 * se + 1.0 / i, e.statistic.label
 
     def test_worker_count_cannot_change_results(self):
         for tested in TESTED_MODELS:
