@@ -18,9 +18,16 @@ fit stops and why intercept-only fits stop by a rule of their own:
    (only rows sent to the pseudoinverse are symmetrized). Each row is then
    its own BLAS call of a fixed shape. A whole-batch 2D GEMM (W @ XX) is
    never used: BLAS picks different kernels, and different summation
-   orders, depending on the batch dimension. The same invariance is why the IRLS loop may drop
-   finished rows from its working arrays: which other rows share an array
-   with a row, and at which position, cannot change its fit.
+   orders, depending on the batch dimension. The same invariance is why the
+   IRLS loop may drop finished rows from its working arrays: which other
+   rows share an array with a row, and at which position, cannot change its
+   fit. It is also why the first iteration is shared. Every row starts from
+   the same coefficients (zero, the offset's or `start`), so its eta, mu,
+   weights, X'WX and Cholesky factor, and the part of the right-hand side
+   X'(W eta - mu) that does not involve y, are the same in every row. They
+   are formed once, from one row, and broadcast: the row product of one row
+   is the product each row would make, and broadcasting repeats its bits.
+   Only X'y, the solves and the deviances are per row.
 
 2. Class invariance under an intercept-only design. The intercept entries
    of X'y, X'WX and the right-hand side are pairwise np.add.reduce sums, not
@@ -131,15 +138,13 @@ def rowwise_matmul(V, M):
     return np.matmul(V[:, None, :], M[None])[:, 0, :]
 
 
-def chol_solve_batch(A, rhs):
-    """Solve A x = rhs across a (B,p,p) SPD stack via vectorized Cholesky.
+def chol_factor_batch(A):
+    """Cholesky factors L of a (B,p,p) SPD stack, vectorized over the stack.
 
     Only the lower triangle of A is read; the upper one may hold anything.
-    Rows whose pivot collapses relative to the diagonal (rank deficiency,
-    e.g. a duplicated or constant covariate) fall back to the pseudoinverse
-    of their symmetrized A, which zeroes the null-space component instead of
-    aborting. A stack the pseudoinverse cannot handle either (non-finite
-    entries, as when the products x_i * x_j overflow) raises NumericalError.
+    Returns (L, bad): bad flags the matrices whose pivot collapses relative
+    to the diagonal (rank deficiency, e.g. a duplicated or constant
+    covariate), which chol_solve_batch hands to the pseudoinverse.
     """
     B, p, _ = A.shape
     L = np.zeros_like(A)
@@ -154,6 +159,23 @@ def chol_solve_batch(A, rhs):
             A[:, j + 1:, j] - add(L[:, j + 1:, :j] * L[:, j, None, :j], axis=2)
         ) / L[:, j, j, None]
     bad = ~(piv > np.diagonal(A, axis1=1, axis2=2) * 1e-13).all(axis=1)
+    return L, bad
+
+
+def chol_solve_batch(A, factor, rhs):
+    """Solve A x = rhs for every row of rhs (B,p), given factor =
+    chol_factor_batch(A).
+
+    A holds one matrix per row of rhs, or a single matrix (a (1,p,p) stack)
+    that every row shares; each row's solution is the same either way. Rows
+    whose matrix is flagged bad get the pseudoinverse of its symmetrized
+    lower triangle instead, which zeroes the null-space component instead of
+    aborting. A matrix the pseudoinverse cannot handle either (non-finite
+    entries, as when the products x_i * x_j overflow) raises NumericalError.
+    """
+    L, bad = factor
+    B, p = rhs.shape
+    add = np.add.reduce
     y = np.zeros((B, p))
     for i in range(p):
         y[:, i] = (rhs[:, i] - add(L[:, i, :i] * y[:, :i], axis=1)) / L[:, i, i]
@@ -161,8 +183,8 @@ def chol_solve_batch(A, rhs):
     for i in range(p - 1, -1, -1):
         x[:, i] = (y[:, i] - add(L[:, i + 1:, i] * x[:, i + 1:], axis=1)) / L[:, i, i]
     if bad.any():
-        idx = np.nonzero(bad)[0]
-        low = np.tril(A[idx])
+        idx = np.nonzero(np.broadcast_to(bad, (B,)))[0]
+        low = np.tril(A[idx] if A.shape[0] == B else A)
         sym = low + np.swapaxes(np.tril(low, -1), 1, 2)
         try:
             x[idx] = (np.linalg.pinv(sym) @ rhs[idx, :, None])[..., 0]
@@ -249,19 +271,22 @@ def _irls(Xd, Y, cfg, offset, deviance_trace, start=None):
         np.maximum(mu, clamp, out=mu)
         return np.minimum(mu, 1 - clamp, out=mu)
 
+    # the deviances take one eta row for every row of Y before the first
+    # step, when all rows share it, and one eta row per row of Y after it
     def ydot_deviance(Y, eta):
-        w = work[: Y.shape[0]]
-        return 2.0 * (add(softplus(eta, out=w), axis=1) - seq_ydot(Y, eta, w))
+        soft = add(softplus(eta, out=work[: eta.shape[0]]), axis=1)
+        return 2.0 * (soft - seq_ydot(Y, eta, work[: Y.shape[0]]))
 
     def percell_deviance(S, eta):
         # sum_k softplus(s_k eta_k), s = 1 - 2y, as two sums of nonnegative
         # terms: log1p(e^-|eta|) and max(s eta, 0)
-        w = work[: S.shape[0]]
+        w = work[: eta.shape[0]]
         np.abs(eta, out=w)
         np.negative(w, out=w)
         np.exp(w, out=w)
         np.log1p(w, out=w)
         soft = add(w, axis=1)
+        w = work[: S.shape[0]]
         np.multiply(S, eta, out=w)
         np.maximum(w, 0.0, out=w)
         return 2.0 * (soft + add(w, axis=1))
@@ -276,7 +301,9 @@ def _irls(Xd, Y, cfg, offset, deviance_trace, start=None):
     else:
         cells, mean, deviance, start = Y, clamped_expit, ydot_deviance, None
 
-    beta = np.zeros((B, p))
+    # every row starts from the same coefficients, so beta, eta and mu hold
+    # one row until the first step (module note 1)
+    beta = np.zeros((1, p))
     off = None if offset is None else np.asarray(offset, dtype=np.float64)
     if start is not None:
         beta[:] = start
@@ -284,9 +311,9 @@ def _irls(Xd, Y, cfg, offset, deviance_trace, start=None):
         if off is not None:
             eta += off
     elif off is None:
-        eta = np.zeros((B, n))
+        eta = np.zeros((1, n))
     else:
-        eta = np.broadcast_to(off, (B, n)).copy()
+        eta = off[None, :].copy()
     mu = mean(eta)
     dev = deviance(cells, eta)
     if deviance_trace is None:
@@ -310,18 +337,21 @@ def _irls(Xd, Y, cfg, offset, deviance_trace, start=None):
         # score form of the normal equations: A beta_new = A beta + X'(y-mu),
         # with A beta expanded through eta; intercept entries are pairwise
         # sums. The weights w = mu(1 - mu), then w * eta, then w * eta - mu
-        # take turns in the work buffer
-        w = np.subtract(1.0, mu, out=work[:na])
+        # take turns in the work buffer. On the first iteration mu is one
+        # row, so A, its factor and the part of the right-hand side that
+        # does not involve y are formed once and broadcast to every row
+        m = mu.shape[0]
+        w = np.subtract(1.0, mu, out=work[:m])
         w *= mu
         tri = rowwise_matmul(w, XX)
         tri[:, 0] = add(w, axis=1)
-        A[:na, ii, jj] = tri
+        A[:m, ii, jj] = tri
         w *= eta if off is None else eta - off
         rhs0 = add(w, axis=1) + XtY[:, 0] - add(mu, axis=1)
         w -= mu
         rhs = rowwise_matmul(w, Xd) + XtY
         rhs[:, 0] = rhs0
-        bnew = chol_solve_batch(A[:na], rhs)
+        bnew = chol_solve_batch(A[:m], chol_factor_batch(A[:m]), rhs)
 
         t = np.ones(na)
         direction = bnew - beta
@@ -341,7 +371,7 @@ def _irls(Xd, Y, cfg, offset, deviance_trace, start=None):
 
         change = dev - dev_try
         beta, eta, dev = beta_try, eta_try, dev_try
-        mu = mean(eta, out=mu)
+        mu = mean(eta, out=None if it == 1 else mu)
         if dev_all is not None:
             dev_all[rows] = dev
             deviance_trace.append(dev_all.copy())

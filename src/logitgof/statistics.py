@@ -4,6 +4,48 @@ Every statistic here is a scalar function of the outcome vector and fitted
 means. The Monte-Carlo engine and the exhaustive-enumeration oracle both
 evaluate statistics through `evaluate_batch`, so there is exactly one code
 path that defines each statistic's value.
+
+`evaluate_batch` works on (B, n) batches, and every value of row k comes
+from operations on row k alone, so row k of a batch is bit-identical to
+evaluating row k alone. Its values are also bit-identical to a plain
+row-wise evaluation that gathers once per statistic and keeps every
+running sum; tests/test_statistics.py keeps that form as a reference. Four
+notes say why the faster form gives the same bits:
+
+1. One gather per ordering. Each ordering the kinds need is sorted once,
+   and the outcomes and tested means are gathered once along it, by
+   np.take on flat indices formed in place in the order array. KS, Kuiper
+   and Hosmer-Lemeshow all read these gathers. The outcomes are gathered as
+   uint8, the bytes of the mask y == 1: Y holds 0/1 outcomes, which uint8
+   holds exactly, so a gather moves one byte per cell instead of eight. The
+   conversion back to float in Y_sigma - mu_sigma is exact, so those
+   residuals are the gathered Y - mu bit for bit, and the block counts of
+   HL are exact integers.
+
+2. One scan for every ordering. The residuals of every ordering that KS or
+   Kuiper asks for are stacked, transposed, into one contiguous
+   (n, orderings * B) array, and one compensated (Kahan) scan runs down it
+   with a running maximum and minimum instead of a stored running sum. Each
+   column of that array is one row in one ordering, and the scan applies to
+   it the operations of a row-wise Kahan sum, y = a - c, t = s + y,
+   c = (t - s) - y, s = t from s = c = 0, in the same order. Elementwise
+   IEEE operations do not depend on memory layout or vector width, so every
+   running sum is the row-wise one bit for bit, and max and min select one
+   of them. KS is max |s| = max(|hi|, |lo|): a running sum starts at +0 and
+   x + y is -0 only when both are, so no running sum is -0. Kuiper is
+   hi - lo. Only where a running sum meets inf - inf is the sign of the
+   resulting NaN unspecified, as it is for np.max.
+
+3. One cell selection. A per-cell statistic selects its argument by y once
+   and applies one function to it, e.g. -2 log(mu if y else 1 - mu), where
+   the row-wise form evaluates both cell functions on every cell and
+   selects between the results. An elementwise function of the selected
+   argument is the selected function value.
+
+4. Subset invariance. No value depends on which other kinds share a call:
+   stacking only sets columns side by side, and a per-cell or grouped value
+   reads nothing of the other kinds, so a kind evaluated alone gives its
+   column of any larger call.
 """
 from __future__ import annotations
 
@@ -156,115 +198,141 @@ _FAST_SORT_MIN_N = 64
 def stable_argsort(keys):
     """Row-wise np.argsort(keys, axis=1, kind="stable") of a (B, n) array.
 
-    From n = _FAST_SORT_MIN_N on, each row is sorted with the default sort
-    and only the rows whose sorted keys are not strictly increasing go to
-    the stable sort again. A row of distinct keys has exactly one ascending
+    A row whose keys all compare equal to its first (an intercept-only
+    fit's means) has the identity order and is not sorted. From n =
+    _FAST_SORT_MIN_N on, the other rows are sorted with the default sort
+    and only those whose sorted keys are not strictly increasing go to the
+    stable sort again. A row of distinct keys has exactly one ascending
     order, so the result is the stable argsort either way. The test is
     written with > so that NaN and equal zeros of either sign count as ties.
     """
     keys = np.asarray(keys)
-    if keys.shape[1] < _FAST_SORT_MIN_N:
+    B, n = keys.shape
+    const = (keys == keys[:, :1]).all(axis=1)
+    if not const.any():
+        return _argsort_rows(keys)
+    order = np.empty((B, n), np.intp)
+    order[const] = np.arange(n)
+    vary = ~const
+    if vary.any():
+        order[vary] = _argsort_rows(keys[vary])
+    return order
+
+
+def _argsort_rows(keys):
+    B, n = keys.shape
+    if n < _FAST_SORT_MIN_N:
         return np.argsort(keys, axis=1, kind="stable")
     order = np.argsort(keys, axis=1)
-    s = np.take_along_axis(keys, order, axis=1)
+    offsets = _row_offsets(B, n)
+    order += offsets
+    s = np.take(keys, order)
+    order -= offsets
     tied = ~(s[:, 1:] > s[:, :-1]).all(axis=1)
     if tied.any():
         order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
     return order
 
 
+def _row_offsets(B, n):
+    """(B, 1) flat offsets of the rows of a C-ordered (B, n) array; added to
+    a row-wise order they make it a flat index for np.take."""
+    return (np.arange(B) * n)[:, None]
+
+
 # ---------------------------------------------------------------------------
-# batch kernels
-#
-# All kernels take (B, n) arrays and return (B,) values, and every reduction
-# runs along the observation axis only, so row k of a batch is bit-identical
-# to evaluating row k alone.
+# batch kernels: (B, n) arrays in, (B,) values out (module notes 1-4)
 
 
-def _kahan_cumsum(a):
-    """Compensated running sums down each row, one column at a time."""
-    B, n = a.shape
-    out = np.empty_like(a)
-    s = np.zeros(B)
-    c = np.zeros(B)
-    for j in range(n):
-        yj = a[:, j] - c
-        t = s + yj
-        c = (t - s) - yj
-        s = t
-        out[:, j] = s
-    return out
+def _ordered_view(policy, ones8, mu, mu_full):
+    """Outcomes (uint8) and tested means of every row taken in the order
+    the policy sorts that row by, each a (B, n) array."""
+    if policy is OrderingPolicy.GIVEN:
+        return ones8, mu
+    if policy is OrderingPolicy.BY_FULL_MU:
+        order = stable_argsort(mu_full)
+    elif policy is OrderingPolicy.BY_TESTED_MU:
+        order = stable_argsort(mu)
+    else:
+        order = stable_argsort(np.subtract(ones8, mu))
+    order += _row_offsets(*mu.shape)
+    return np.take(ones8, order), np.take(mu, order)
 
 
-def _ks_batch(r, order):
-    rs = np.take_along_axis(r, order, axis=1)
-    return np.max(np.abs(_kahan_cumsum(rs)), axis=1)
+def _scan_extremes(R):
+    """Largest and smallest compensated running sum down each column of R.
+
+    R is (n, m); column by column, the running sums are those of a
+    row-wise Kahan sum (module note 2)."""
+    m = R.shape[1]
+    s, c, y, t = np.zeros(m), np.zeros(m), np.empty(m), np.empty(m)
+    hi, lo = np.full(m, -np.inf), np.full(m, np.inf)
+    for a in R:
+        np.subtract(a, c, out=y)
+        np.add(s, y, out=t)
+        np.subtract(t, s, out=c)
+        c -= y
+        s, t = t, s
+        np.maximum(hi, s, out=hi)
+        np.minimum(lo, s, out=lo)
+    return hi, lo
 
 
-def _kuiper_batch(r, order):
-    rs = np.take_along_axis(r, order, axis=1)
-    cs = _kahan_cumsum(rs)
-    return np.max(cs, axis=1) - np.min(cs, axis=1)
+def _ordered_value(family, hi, lo):
+    if family == "ks":
+        return np.maximum(np.abs(hi), np.abs(lo))
+    return hi - lo
 
 
-def _percell_sum(Y, f0, f1):
-    """sum_k f(y_k, mu_k), given f0 = f(0, mu) and f1 = f(1, mu) as arrays.
+_CELL_SCALE = {"freeman-tukey": 4.0, "half-abs-sum": 0.5}
 
-    The per-observation cells are selected exactly (np.where, no arithmetic
-    blend) and summed in sorted order. Any two outcome vectors whose cell
-    values form the same multiset therefore produce bit-identical sums, so
-    outcomes that are tied in exact arithmetic stay tied in float and the
-    raw >= comparison in the simulation loop counts them consistently. The
-    solver cooperates: its means are arrangement-invariant. For classes that
-    swap y with 1-y its means are complementary only to within the fit's
-    accuracy, and exactly on some pairs alone (19/20 ones at n = 39), so
-    ties between complementary classes are not guaranteed.
+
+def _cell_statistic(family, ones, mu):
+    """sum_k f(y_k, mu_k) for a per-cell family; ones is y == 1.
+
+    Each cell's argument is selected exactly by y (np.where, no arithmetic
+    blend) and the cells are summed in sorted order. Any two outcome
+    vectors whose cell values form the same multiset therefore produce
+    bit-identical sums, so outcomes that are tied in exact arithmetic stay
+    tied in float and the raw >= comparison in the simulation loop counts
+    them consistently. The solver cooperates: its means are
+    arrangement-invariant. For classes that swap y with 1-y its means are
+    complementary only to within the fit's accuracy, and exactly on some
+    pairs alone (19/20 ones at n = 39), so ties between complementary
+    classes are not guaranteed.
     """
-    cells = np.where(Y == 1.0, f1, f0)
+    if family == "deviance":
+        # log(1 - mu), not log1p(-mu): complementary mean pairs must hand log
+        # the bitwise-same argument or the tie machinery above falls apart
+        cells = np.log(np.where(ones, mu, 1.0 - mu))
+        cells *= -2.0
+    elif family == "freeman-tukey":
+        # the observed-cell form, (sqrt y - sqrt mu)^2, has no common
+        # argument: the cell is mu itself when y = 0
+        cells = np.where(ones, (1.0 - np.sqrt(mu)) ** 2, mu)
+    else:
+        cells = np.where(ones, 1.0 - mu, mu)  # |y - mu|
+        if family != "half-abs-sum":
+            cells *= cells
+        if family == "pearson-chi2":
+            cells /= mu * (1.0 - mu)
     cells.sort(axis=1)
-    return np.sum(cells, axis=1)
+    return _CELL_SCALE.get(family, 1.0) * np.sum(cells, axis=1)
 
 
-def _deviance_batch(Y, mu_t):
-    # log(1 - mu), not log1p(-mu): complementary mean pairs must hand log
-    # the bitwise-same argument or the tie machinery above falls apart
-    lm = np.log(mu_t)
-    l1m = np.log(1.0 - mu_t)
-    return _percell_sum(Y, -2.0 * l1m, -2.0 * lm)
-
-
-def _freeman_tukey_batch(Y, mu_t):
-    sm = np.sqrt(mu_t)
-    return 4.0 * _percell_sum(Y, mu_t, (1.0 - sm) ** 2)
-
-
-def _pearson_batch(Y, mu_t):
-    v = mu_t * (1.0 - mu_t)
-    return _percell_sum(Y, mu_t * mu_t / v, (1.0 - mu_t) ** 2 / v)
-
-
-def _euclidean_batch(Y, mu_t):
-    return _percell_sum(Y, mu_t * mu_t, (1.0 - mu_t) ** 2)
-
-
-def _half_abs_batch(Y, mu_t):
-    return 0.5 * _percell_sum(Y, mu_t, 1.0 - mu_t)
-
-
-def _hl_batch(Y, mu_value, order, sizes):
+def _hl_batch(ys, ms, sizes):
     """Grouped calibration statistic over consecutive blocks of an order.
 
-    Observations are taken in the given order (the stable argsort of the
-    grouping key, per row), cut into blocks of the given sizes, and each
-    block contributes (observed ones - expected)^2 over
-    expected * (1 - expected/size). A block whose denominator degenerates
-    contributes 0 when the count matches the degenerate expectation and
-    +inf otherwise, so the simulation comparison stays well-defined.
+    ys and ms are the outcomes and means taken in the order of the
+    grouping key (its stable argsort, per row), cut into blocks of the
+    given sizes, and each block contributes (observed ones - expected)^2
+    over expected * (1 - expected/size). A block whose denominator
+    degenerates contributes 0 when the count matches the degenerate
+    expectation and +inf otherwise, so the simulation comparison stays
+    well-defined.
     """
-    ys = np.take_along_axis(Y, order, axis=1)
-    ms = np.take_along_axis(mu_value, order, axis=1)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    nk = np.add.reduceat(ys, starts, axis=1)
+    nk = np.add.reduceat(ys, starts, axis=1, dtype=np.float64)
     ek = np.add.reduceat(ms, starts, axis=1)
     sk = np.asarray(sizes, float)
     den = ek * (1.0 - ek / sk)
@@ -279,50 +347,52 @@ def _hl_batch(Y, mu_value, order, sizes):
 def evaluate_batch(kinds, Y, mu_tested, mu_full) -> np.ndarray:
     """Evaluate every requested statistic on a batch of outcome vectors.
 
-    Y, mu_tested and mu_full are (B, n); the result is (B, K) with one
-    column per kind, in the order given. This is the single evaluation
-    path shared by the simulation engine and the enumeration oracle.
+    Y (0/1 outcomes), mu_tested and mu_full are (B, n); the result is (B, K)
+    with one column per kind, in the order given. This is the single
+    evaluation path shared by the simulation engine and the enumeration
+    oracle.
     """
     Y = np.asarray(Y, dtype=np.float64)
     B, n = Y.shape
-    r = Y - mu_tested
+    mu = np.ascontiguousarray(mu_tested, dtype=np.float64)
+    ones = Y == 1.0
+    ones8 = ones.view(np.uint8)
     out = np.empty((B, len(kinds)))
 
-    order_cache = {}
+    def source(policy):
+        # when the tested model is the full one, both means are one array
+        # and its two orderings are one
+        if policy is OrderingPolicy.BY_FULL_MU and mu_full is mu_tested:
+            return OrderingPolicy.BY_TESTED_MU
+        return policy
 
-    def order_for(policy):
-        o = order_cache.get(policy)
-        if o is None:
-            if policy is OrderingPolicy.BY_FULL_MU:
-                o = stable_argsort(mu_full)
-            elif policy is OrderingPolicy.BY_TESTED_MU:
-                o = stable_argsort(mu_tested)
-            elif policy is OrderingPolicy.BY_RESIDUAL:
-                o = stable_argsort(r)
-            else:
-                o = np.broadcast_to(np.arange(n), Y.shape)
-            order_cache[policy] = o
-        return o
+    # the first column of each scanned ordering's block in the stacked array
+    lanes = {}
+    for k in kinds:
+        if k.family in _ORDERED_FAMILIES:
+            lanes.setdefault(source(k.ordering), len(lanes) * B)
+    grouped = [source(k.grouping_key) for k in kinds if k.family == "hl"]
+    R = np.empty((n, len(lanes) * B)) if lanes else None
+    for policy in dict.fromkeys([*lanes, *grouped]):
+        ys, ms = _ordered_view(policy, ones8, mu, mu_full)
+        for col, kind in enumerate(kinds):
+            if kind.family == "hl" and source(kind.grouping_key) is policy:
+                out[:, col] = _hl_batch(ys, ms, default_grouping(n, kind.groups).sizes)
+        if policy in lanes:
+            lane = lanes[policy]
+            np.subtract(ys.T, ms.T, out=R[:, lane:lane + B])
+        del ys, ms  # before the next ordering's gathers, to keep the peak down
+    if lanes:
+        hi, lo = _scan_extremes(R)
+        del R  # before the per-cell statistics' temporaries
+        for col, kind in enumerate(kinds):
+            if kind.family in _ORDERED_FAMILIES:
+                lane = lanes[source(kind.ordering)]
+                out[:, col] = _ordered_value(kind.family, hi[lane:lane + B], lo[lane:lane + B])
 
     for col, kind in enumerate(kinds):
-        if kind.family == "ks":
-            vals = _ks_batch(r, order_for(kind.ordering))
-        elif kind.family == "kuiper":
-            vals = _kuiper_batch(r, order_for(kind.ordering))
-        elif kind.family == "half-abs-sum":
-            vals = _half_abs_batch(Y, mu_tested)
-        elif kind.family == "deviance":
-            vals = _deviance_batch(Y, mu_tested)
-        elif kind.family == "freeman-tukey":
-            vals = _freeman_tukey_batch(Y, mu_tested)
-        elif kind.family == "pearson-chi2":
-            vals = _pearson_batch(Y, mu_tested)
-        elif kind.family == "euclidean":
-            vals = _euclidean_batch(Y, mu_tested)
-        else:
-            sizes = default_grouping(n, kind.groups).sizes
-            vals = _hl_batch(Y, mu_tested, order_for(kind.grouping_key), sizes)
-        out[:, col] = vals
+        if kind.family in _PLAIN_FAMILIES:
+            out[:, col] = _cell_statistic(kind.family, ones, mu)
     return out
 
 
@@ -334,14 +404,18 @@ def _row(a):
     return np.asarray(a, dtype=np.float64)[None, :]
 
 
+def _scan_one(r, ordering: Ordering):
+    return _scan_extremes(np.asarray(r, dtype=np.float64)[ordering.sigma][:, None])
+
+
 def ks_statistic(r, ordering: Ordering) -> float:
     """Largest absolute running sum of residuals taken in the given order."""
-    return float(_ks_batch(_row(r), ordering.sigma[None, :])[0])
+    return float(_ordered_value("ks", *_scan_one(r, ordering))[0])
 
 
 def kuiper_statistic(r, ordering: Ordering) -> float:
     """Range (max minus min) of the running sums of residuals in the given order."""
-    return float(_kuiper_batch(_row(r), ordering.sigma[None, :])[0])
+    return float(_ordered_value("kuiper", *_scan_one(r, ordering))[0])
 
 
 def half_abs_sum(r) -> float:
@@ -351,24 +425,28 @@ def half_abs_sum(r) -> float:
     return float(0.5 * np.sum(cells))
 
 
+def _cell_value(family, y, mu):
+    return float(_cell_statistic(family, _row(y) == 1.0, _row(mu))[0])
+
+
 def deviance(y, mu) -> float:
     """Minus twice the log-likelihood of y under means mu."""
-    return float(_deviance_batch(_row(y), _row(mu))[0])
+    return _cell_value("deviance", y, mu)
 
 
 def freeman_tukey(y, mu) -> float:
     """Squared-root distance on the observed cells, 4 sum (sqrt y - sqrt mu)^2."""
-    return float(_freeman_tukey_batch(_row(y), _row(mu))[0])
+    return _cell_value("freeman-tukey", y, mu)
 
 
 def pearson_chi2(y, mu) -> float:
     """Sum of squared Pearson residuals (y - mu)^2 / (mu (1 - mu))."""
-    return float(_pearson_batch(_row(y), _row(mu))[0])
+    return _cell_value("pearson-chi2", y, mu)
 
 
 def euclidean_sq(y, mu) -> float:
     """Plain squared distance between y and mu."""
-    return float(_euclidean_batch(_row(y), _row(mu))[0])
+    return _cell_value("euclidean", y, mu)
 
 
 def hosmer_lemeshow(y, mu_for_value, mu_for_grouping, grouping: GroupingScheme) -> float:
@@ -378,5 +456,6 @@ def hosmer_lemeshow(y, mu_for_value, mu_for_grouping, grouping: GroupingScheme) 
         raise ConfigError(
             f"grouping covers {grouping.n} observations but y has {y.shape[0]}"
         )
-    order = stable_argsort(_row(mu_for_grouping))
-    return float(_hl_batch(_row(y), _row(mu_for_value), order, grouping.sizes)[0])
+    order = stable_argsort(_row(mu_for_grouping))[0]
+    ms = np.asarray(mu_for_value, dtype=np.float64)[order]
+    return float(_hl_batch(y[order][None, :], ms[None, :], grouping.sizes)[0])

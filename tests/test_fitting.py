@@ -14,7 +14,8 @@ from logitgof import (
     residuals,
 )
 from logitgof.fitting import DEFAULT_FIT_CONFIG, _irls, fit_batch
-from logitgof.montecarlo import draw_outcomes
+from logitgof.montecarlo import SimulationPlan, draw_outcomes, estimate_pvalues
+from logitgof.statistics import parse_statistics
 
 
 def newton_reference(X, y, steps=60):
@@ -566,6 +567,75 @@ class TestStart:
         want = fit_batch(X, Y, offset=off)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+
+# End-to-end bits of seeded runs whose refits have covariates: exceedance
+# counts and observed values, which hang on every bit of both refits and of
+# the statistics, and the iteration totals of a wide batch fitted from zero
+# and from a warm start. Recorded from the solver and statistics kernels as
+# they stood before the first IRLS iteration was shared across rows.
+N575_PINS = {
+    "ks:mu-full": (316, "0x1.d85bf04c3a3a4p+2"),
+    "ks:mu-tested": (339, "0x1.a4bcaf656cc73p+2"),
+    "ks:residual": (337, "0x1.87b1b9cb6b4e7p+6"),
+    "deviance": (334, "0x1.2a8774fc693e2p+9"),
+    "freeman-tukey": (311, "0x1.06e4214a9ecacp+9"),
+    "pearson-chi2": (791, "0x1.1b7f4f9a83589p+9"),
+    "euclidean": (329, "0x1.8897af58c201bp+6"),
+    "hl:10:mu-full": (80, "0x1.bf04ad4cfa1e2p+3"),
+    "hl:10:mu-tested": (79, "0x1.b301f9b5f13dfp+3"),
+}
+FINNEY_L2_PINS = {
+    "ks:mu-full": (47, "0x1.3142f057bc5a7p+1"),
+    "ks:mu-tested": (47, "0x1.3142f057bc5a7p+1"),
+    "ks:residual": (2397, "0x1.2a1a29a25bda6p+2"),
+    "deviance": (2188, "0x1.d2a9ac2be2438p+4"),
+    "freeman-tukey": (1694, "0x1.775096d30f28ap+4"),
+    "pearson-chi2": (1220, "0x1.12d4ae9fe10bep+5"),
+    "euclidean": (2661, "0x1.24ff902fef19bp+2"),
+    "hl:3:mu-full": (127, "0x1.55bb96486e5fep+2"),
+    "hl:3:mu-tested": (127, "0x1.55bb96486e5fep+2"),
+    "hl:5:mu-full": (1272, "0x1.d15c03281ce4cp+1"),
+    "hl:5:mu-tested": (1272, "0x1.d15c03281ce4cp+1"),
+}
+
+
+class TestPinnedBitsWithCovariates:
+    @staticmethod
+    def run(plan):
+        return {e.statistic.label: (e.exceed_count, float(e.observed_value).hex())
+                for e in estimate_pvalues(plan)}
+
+    def test_n575_uis_statistics(self):
+        X, Y = n575_design()
+        plan = SimulationPlan(
+            dataset=Dataset(Y[0].astype(int), X[:, 1:]),
+            tested=ModelSpec(tuple(range(9))),
+            full=ModelSpec(tuple(range(11))),
+            statistics=parse_statistics(N575_PINS),
+            num_simulations=910,
+            master_seed=575,
+        )
+        assert self.run(plan) == N575_PINS
+
+    def test_finney_l2(self, finney_dataset):
+        plan = SimulationPlan(
+            dataset=finney_dataset,
+            tested=ModelSpec((0, 1)),
+            full=ModelSpec((0, 1)),
+            statistics=parse_statistics(FINNEY_L2_PINS),
+            num_simulations=6721,
+            master_seed=2013,
+        )
+        assert self.run(plan) == FINNEY_L2_PINS
+
+    def test_n575_iteration_totals(self):
+        X, Y = n575_design()
+        start = fit_batch(X, Y[:1])[0][0]
+        for begin, total, most in ((None, 2680, 6), (start, 2239, 5)):
+            _, _, conv, iters = fit_batch(X, Y, start=begin)
+            assert (int(iters.sum()), int(iters.max()), int((~conv).sum())) == (total, most, 0)
 
 
 class TestFitConfig:

@@ -410,3 +410,226 @@ class TestEvaluateBatch:
         for k in range(6):
             solo = evaluate_batch(kinds, Y[k : k + 1], mu_t[k : k + 1], mu_f[k : k + 1])
             assert np.array_equal(batch[k], solo[0])
+
+
+# The statistics kernels in their earlier row-wise form: a take_along_axis
+# gather per statistic, a compensated running sum stored column by column,
+# and per-cell statistics that evaluate both cell functions on every cell.
+# evaluate_batch must reproduce them bit for bit, NaN and signed zeros
+# included.
+
+
+def ref_kahan_cumsum(a):
+    B, n = a.shape
+    out = np.empty_like(a)
+    s = np.zeros(B)
+    c = np.zeros(B)
+    for j in range(n):
+        yj = a[:, j] - c
+        t = s + yj
+        c = (t - s) - yj
+        s = t
+        out[:, j] = s
+    return out
+
+
+def ref_ks_batch(r, order):
+    rs = np.take_along_axis(r, order, axis=1)
+    return np.max(np.abs(ref_kahan_cumsum(rs)), axis=1)
+
+
+def ref_kuiper_batch(r, order):
+    rs = np.take_along_axis(r, order, axis=1)
+    cs = ref_kahan_cumsum(rs)
+    return np.max(cs, axis=1) - np.min(cs, axis=1)
+
+
+def ref_percell_sum(Y, f0, f1):
+    cells = np.where(Y == 1.0, f1, f0)
+    cells.sort(axis=1)
+    return np.sum(cells, axis=1)
+
+
+def ref_deviance_batch(Y, mu_t):
+    lm = np.log(mu_t)
+    l1m = np.log(1.0 - mu_t)
+    return ref_percell_sum(Y, -2.0 * l1m, -2.0 * lm)
+
+
+def ref_freeman_tukey_batch(Y, mu_t):
+    sm = np.sqrt(mu_t)
+    return 4.0 * ref_percell_sum(Y, mu_t, (1.0 - sm) ** 2)
+
+
+def ref_pearson_batch(Y, mu_t):
+    v = mu_t * (1.0 - mu_t)
+    return ref_percell_sum(Y, mu_t * mu_t / v, (1.0 - mu_t) ** 2 / v)
+
+
+def ref_euclidean_batch(Y, mu_t):
+    return ref_percell_sum(Y, mu_t * mu_t, (1.0 - mu_t) ** 2)
+
+
+def ref_half_abs_batch(Y, mu_t):
+    return 0.5 * ref_percell_sum(Y, mu_t, 1.0 - mu_t)
+
+
+def ref_hl_batch(Y, mu_value, order, sizes):
+    ys = np.take_along_axis(Y, order, axis=1)
+    ms = np.take_along_axis(mu_value, order, axis=1)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    nk = np.add.reduceat(ys, starts, axis=1)
+    ek = np.add.reduceat(ms, starts, axis=1)
+    sk = np.asarray(sizes, float)
+    den = ek * (1.0 - ek / sk)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (nk - ek) ** 2 / den
+    degenerate = ~(den > 0.0)
+    if degenerate.any():
+        terms = np.where(degenerate, np.where(nk == ek, 0.0, np.inf), terms)
+    return np.sum(terms, axis=1)
+
+
+def ref_evaluate_batch(kinds, Y, mu_tested, mu_full):
+    Y = np.asarray(Y, dtype=np.float64)
+    B, n = Y.shape
+    r = Y - mu_tested
+    out = np.empty((B, len(kinds)))
+    keys = {
+        OrderingPolicy.BY_FULL_MU: mu_full,
+        OrderingPolicy.BY_TESTED_MU: mu_tested,
+        OrderingPolicy.BY_RESIDUAL: r,
+    }
+
+    def order_for(policy):
+        if policy is OrderingPolicy.GIVEN:
+            return np.broadcast_to(np.arange(n), Y.shape)
+        return np.argsort(keys[policy], axis=1, kind="stable")
+
+    for col, kind in enumerate(kinds):
+        if kind.family == "ks":
+            vals = ref_ks_batch(r, order_for(kind.ordering))
+        elif kind.family == "kuiper":
+            vals = ref_kuiper_batch(r, order_for(kind.ordering))
+        elif kind.family == "half-abs-sum":
+            vals = ref_half_abs_batch(Y, mu_tested)
+        elif kind.family == "deviance":
+            vals = ref_deviance_batch(Y, mu_tested)
+        elif kind.family == "freeman-tukey":
+            vals = ref_freeman_tukey_batch(Y, mu_tested)
+        elif kind.family == "pearson-chi2":
+            vals = ref_pearson_batch(Y, mu_tested)
+        elif kind.family == "euclidean":
+            vals = ref_euclidean_batch(Y, mu_tested)
+        else:
+            sizes = default_grouping(n, kind.groups).sizes
+            vals = ref_hl_batch(Y, mu_tested, order_for(kind.grouping_key), sizes)
+        out[:, col] = vals
+    return out
+
+
+# every family and ordering, with group counts that give blocks of one
+# observation and blocks of many
+EVERY_KIND = parse_statistics(ALL_LABELS + [
+    "hl:2:mu-full", "hl:2:mu-tested", "hl:3:mu-tested", "hl:5:mu-full", "hl:10:mu-full",
+])
+
+
+def _kinds_for(n):
+    """EVERY_KIND without the groupings that n observations cannot fill."""
+    kinds = []
+    for kind in EVERY_KIND:
+        if kind.family == "hl":
+            try:
+                default_grouping(n, kind.groups)
+            except ConfigError:
+                continue
+        kinds.append(kind)
+    return tuple(kinds)
+
+
+# means that tie with each other or with themselves, clamped means, and the
+# values a broken fit can hand over: NaN, zeros of both signs, infinities
+_SPECIAL_MEANS = (0.5, 0.25, 1e-10, 1.0 - 1e-10, 0.0, -0.0, np.nan, np.inf, -np.inf)
+
+
+def _odd_offset(a, how):
+    """a's values in a view that is not a plain contiguous array: a window
+    one column into a wider array, or a copy whose data starts one byte off
+    the float alignment."""
+    if how == "window":
+        wide = np.empty((a.shape[0], a.shape[1] + 2))
+        wide[:, 1:-1] = a
+        return wide[:, 1:-1]
+    if how == "unaligned":
+        raw = np.empty(a.nbytes + 1, np.uint8)
+        view = raw[1:].view(np.float64).reshape(a.shape)
+        view[...] = a
+        return view
+    return a
+
+
+def _bits(values, kind):
+    """The int64 view of a column. A KS or Kuiper NaN (a running sum that
+    met inf - inf) is made the positive quiet NaN first: np.max returns a
+    NaN whose sign depends on the SIMD lane it met it in, so only its
+    position is defined."""
+    if kind.family in ("ks", "kuiper"):
+        values = np.where(np.isnan(values), np.nan, values)
+    return values.view(np.int64)
+
+
+class TestBitwiseAgainstReference:
+    @given(
+        n=st.sampled_from([1, 2, 16, 39, 63, 64, 575]),
+        b=st.sampled_from([1, 2, 3, 7]),
+        seed=st.integers(0, 2**32 - 1),
+        special=st.lists(st.sampled_from(_SPECIAL_MEANS), max_size=6),
+        constant=st.sampled_from([None, "tested", "full", "both"]),
+        how=st.sampled_from(["plain", "window", "unaligned"]),
+        shared=st.booleans(),
+    )
+    def test_every_family_and_ordering_matches(self, n, b, seed, special, constant, how,
+                                               shared):
+        rng = np.random.default_rng(seed)
+        Y = (rng.random((b, n)) < 0.4).astype(float)
+        # a coarse grid of means makes ties within a row common
+        mu_t = rng.integers(1, 8, size=(b, n)) / 8.0
+        mu_f = np.where(rng.random((b, n)) < 0.5, mu_t, rng.random((b, n)))
+        for mu in (mu_t, mu_f):
+            for row in range(b):
+                if special and rng.random() < 0.5:
+                    mu[row, rng.integers(0, n, size=len(special))] = special
+        row = rng.integers(0, b)
+        if constant in ("tested", "both"):
+            mu_t[row] = 0.3
+        if constant in ("full", "both"):
+            mu_f[row] = 1e-10
+        kinds = _kinds_for(n)
+        args = [_odd_offset(a, how) for a in (Y, mu_t, mu_f)]
+        if shared:
+            # one array for both means, as when the tested model is the full one
+            mu_f, args[2] = mu_t, args[1]
+        with np.errstate(all="ignore"):
+            want = ref_evaluate_batch(kinds, Y, mu_t, mu_f)
+            got = evaluate_batch(kinds, *args)
+            # a kind's value does not depend on which other kinds share the call
+            alone = [evaluate_batch((kind,), *args)[:, 0] for kind in kinds]
+        assert got.shape == want.shape
+        for col, kind in enumerate(kinds):
+            assert np.array_equal(_bits(got[:, col], kind), _bits(want[:, col], kind)), kind.label
+            assert np.array_equal(_bits(alone[col], kind), _bits(want[:, col], kind)), kind.label
+
+    def test_fitted_chunks_match(self, finney_dataset):
+        # refits of drawn outcomes, where tested and full means tie on
+        # repeated covariate rows and intercept-only means are constant
+        from logitgof import design_matrix, draw_outcomes
+
+        d = finney_dataset
+        Y = draw_outcomes(7, 0, 400, fit(d, ModelSpec((0, 1))).mu)
+        mus = [fit_batch(design_matrix(d, ModelSpec(inc)), Y)[1] for inc in ((), (0, 1))]
+        for mu_t, mu_f in ((mus[0], mus[1]), (mus[1], mus[1])):
+            want = ref_evaluate_batch(EVERY_KIND, Y, mu_t, mu_f)
+            got = evaluate_batch(EVERY_KIND, Y, mu_t, mu_f)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert not np.isnan(got).any()
