@@ -6,8 +6,9 @@ import numpy as np
 from .datamodel import Dataset
 
 # Finney's vasoconstriction data: 39 observations of breath volume, rate of
-# inhalation, and whether a vasoconstriction response occurred. Two pairs of
-# rows share identical covariates; that is how the data were recorded.
+# inhalation, and whether a vasoconstriction response occurred. One pair of
+# rows shares identical covariates, (0.98, 1.28) at 0-based rows 27 and 36;
+# that is how the data were recorded.
 _FINNEY_ROWS = (
     (1.57, 0.92, 1), (1.54, 1.04, 1), (1.10, 1.40, 1), (0.88, 1.18, 1),
     (0.90, 1.51, 1), (0.85, 1.54, 1), (0.78, 0.88, 0), (1.04, 1.23, 0),

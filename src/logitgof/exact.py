@@ -4,9 +4,9 @@ For n observations there are only 2**n possible outcome vectors, and the
 null assigns each one probability prod mu_k^y_k (1-mu_k)^(1-y_k) with mu
 taken from the observed-data tested fit. Summing those weights over the
 outcomes whose refitted statistic reaches the observed value gives the
-quantity the simulation estimates, with no Monte-Carlo error at all. That
-makes this module the independent check on the whole simulation pipeline,
-which is why it deliberately reuses the same fitting and statistic code.
+quantity the simulation estimates, with no Monte-Carlo error at all. It
+refits, evaluates and compares through the Monte-Carlo engine, started at
+zero, so it checks a simulation's draws and counts against exact weights.
 
 Enumeration cost doubles per observation; the hard cap keeps refit counts
 near a million, which is minutes of work.
@@ -19,8 +19,9 @@ import numpy as np
 
 from .datamodel import Dataset, ModelSpec
 from .errors import ConfigError, NumericalError
-from .fitting import DEFAULT_FIT_CONFIG, FitConfig, design_matrix, fit_batch
-from .statistics import StatisticKind, evaluate_batch
+from .fitting import DEFAULT_FIT_CONFIG, FitConfig
+from .montecarlo import _Engine, _check_models
+from .statistics import StatisticKind, exceeds
 
 MAX_EXACT_N = 20
 _CHUNK = 4096
@@ -56,22 +57,13 @@ def exact_pvalues(
     if not kinds:
         raise ConfigError("at least one statistic is required")
 
-    Xd_tested = design_matrix(d, tested)
-    Xd_full = design_matrix(d, full)
-    same = tested.included == full.included
-
-    Yobs = d.y.astype(np.float64)[None, :]
-    _, mu_t_obs, _, _ = fit_batch(Xd_tested, Yobs, cfg)
-    if same:
-        mu_f_obs = mu_t_obs
-    else:
-        _, mu_f_obs, _, _ = fit_batch(Xd_full, Yobs, cfg)
-    obs_vals = evaluate_batch(kinds, Yobs, mu_t_obs, mu_f_obs)[0]
+    _check_models(d, tested, full)
+    eng = _Engine(d, tested, full, kinds, cfg, warm=False)
+    obs_vals = eng.evaluate(eng.y_obs)[0]
 
     # log-space weights survive means clamped to the working range's edge
-    mu_hat = mu_t_obs[0]
-    log_mu = np.log(mu_hat)
-    log_1m = np.log(1.0 - mu_hat)
+    log_mu = np.log(eng.mu_gen)
+    log_1m = np.log(1.0 - eng.mu_gen)
 
     total = 1 << d.n
     p = np.zeros(len(kinds))
@@ -84,15 +76,10 @@ def exact_pvalues(
             lw += np.where(Y[:, j] == 1.0, log_mu[j], log_1m[j])
         w = np.exp(lw)
         weight_sum += float(np.sum(w))
-        _, mu_t, _, _ = fit_batch(Xd_tested, Y, cfg)
-        if same:
-            mu_f = mu_t
-        else:
-            _, mu_f, _, _ = fit_batch(Xd_full, Y, cfg)
-        vals = evaluate_batch(kinds, Y, mu_t, mu_f)
+        hit = exceeds(eng.evaluate(Y), obs_vals)
         # accumulate in outcome-index order so p_exact is bit-stable
         for col in range(len(kinds)):
-            p[col] += float(np.sum(np.where(vals[:, col] >= obs_vals[col], w, 0.0)))
+            p[col] += float(np.sum(np.where(hit[:, col], w, 0.0)))
 
     if abs(weight_sum - 1.0) > 1e-10:
         raise NumericalError(

@@ -109,14 +109,9 @@ class ExperimentConfig:
             full_variables=tuple(doc.get("full", ())),
             statistics=kinds,
         )
-        for src, dst in (
-            ("num_simulations", "num_simulations"),
-            ("master_seed", "master_seed"),
-            ("inject_uniform", "inject_uniform"),
-            ("inject_seed", "inject_seed"),
-        ):
-            if src in doc:
-                kw[dst] = doc[src]
+        for key in ("num_simulations", "master_seed", "inject_uniform", "inject_seed"):
+            if key in doc:
+                kw[key] = doc[key]
         return cls(**kw)
 
 

@@ -22,12 +22,12 @@ fit stops and why intercept-only fits stop by a rule of their own:
    IRLS loop may drop finished rows from its working arrays: which other
    rows share an array with a row, and at which position, cannot change its
    fit. It is also why the first iteration is shared. Every row starts from
-   the same coefficients (zero, the offset's or `start`), so its eta, mu,
-   weights, X'WX and Cholesky factor, and the part of the right-hand side
-   X'(W eta - mu) that does not involve y, are the same in every row. They
-   are formed once, from one row, and broadcast: the row product of one row
-   is the product each row would make, and broadcasting repeats its bits.
-   Only X'y, the solves and the deviances are per row.
+   the same coefficients (zero or `start`), so its eta, mu, weights, X'WX
+   and Cholesky factor, and the part of the right-hand side X'(W eta - mu)
+   that does not involve y, are the same in every row. They are formed
+   once, from one row, and broadcast: the row product of one row is the
+   product each row would make, and broadcasting repeats its bits. Only
+   X'y, the solves and the deviances are per row.
 
 2. Class invariance under an intercept-only design. The intercept entries
    of X'y, X'WX and the right-hand side are pairwise np.add.reduce sums, not
@@ -37,8 +37,8 @@ fit stops and why intercept-only fits stop by a rule of their own:
    fit bit-for-bit. Which classes' statistics tie by rounding (the l = 0
    Pearson statistic, see README) hangs on these exact values, so the
    reductions that form them must keep their order. fit_batch relies on
-   this: it runs an intercept-only design (without offset) once per
-   distinct success count and copies each class's fit to its rows.
+   this: it runs an intercept-only design once per distinct success count
+   and copies each class's fit to its rows.
    Fits with covariates (p > 1) have no classes to keep and use cheaper
    per-cell forms instead, chosen once per call. Their deviance is
    2 sum_k softplus(s_k eta_k) with s = 1 - 2y, summed as two sums of
@@ -47,9 +47,9 @@ fit stops and why intercept-only fits stop by a rule of their own:
    sum softplus(eta) and sum y eta that left a separated row's deviance at
    rounding noise. Their means are 1 / (1 + e^-eta), expit's own formula,
    with one fast numpy exponential: 0.9 ms against expit's 2.8 ms, clamp
-   included, for a 455 x 575 batch on a 2-vCPU Xeon. Intercept-only fits,
-   with or without offset, keep expit, the softplus difference and the
-   contraction, operation for operation.
+   included, for a 455 x 575 batch on a 2-vCPU Xeon. Intercept-only fits
+   keep expit, the softplus difference and the contraction, operation for
+   operation.
 
 3. Stopping. A fit with covariates (p > 1) finishes after a full step
    (no line-search halving) whose Newton decrement lambda^2 = d'Ad, with d
@@ -197,14 +197,12 @@ def chol_solve_batch(A, factor, rhs):
     return x
 
 
-def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None, deviance_trace=None,
-              start=None):
+def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, deviance_trace=None, start=None):
     """Fit one design against B outcome vectors at once.
 
     Xd: (n, p) design whose first column is the all-ones intercept, as
     `design_matrix` builds it. Y: (B, n) outcomes as floats (exactly 0.0 or
-    1.0). offset: optional (n,) vector added to every linear predictor; its
-    coefficients are not estimated.
+    1.0).
 
     Returns (beta, mu, converged, iterations) with shapes (B,p), (B,n), (B,),
     (B,). Non-convergence (iteration cap or separation pushing a linear
@@ -217,23 +215,23 @@ def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None, deviance_
     start: optional (p,) coefficient vector every row's IRLS run starts
     from instead of zero. Intercept-only designs (p == 1) ignore it.
 
-    An intercept-only design without offset is fitted once per success
-    count and the results are copied to every row of that count, which
-    module note 2 makes bit-identical to fitting every row.
+    An intercept-only design is fitted once per success count and the
+    results are copied to every row of that count, which module note 2
+    makes bit-identical to fitting every row.
     """
     Y = np.asarray(Y, dtype=np.float64)
     Xd = np.ascontiguousarray(Xd, dtype=np.float64)
-    if Xd.shape[1] > 1 or offset is not None:
-        return _irls(Xd, Y, cfg, offset, deviance_trace, start)
+    if Xd.shape[1] > 1:
+        return _irls(Xd, Y, cfg, deviance_trace, start)
     _, first, inv = np.unique(np.add.reduce(Y, axis=1), return_index=True, return_inverse=True)
     trace = None if deviance_trace is None else []
-    fits = _irls(Xd, Y[first], cfg, None, trace)
+    fits = _irls(Xd, Y[first], cfg, trace)
     if trace is not None:
         deviance_trace.extend(snap[inv] for snap in trace)
     return tuple(a[inv] for a in fits)
 
 
-def _irls(Xd, Y, cfg, offset, deviance_trace, start=None):
+def _irls(Xd, Y, cfg, deviance_trace, start=None):
     """The IRLS loop behind fit_batch: every row of Y is fitted on its own
     trajectory, with the arguments and results fit_batch documents.
 
@@ -304,16 +302,11 @@ def _irls(Xd, Y, cfg, offset, deviance_trace, start=None):
     # every row starts from the same coefficients, so beta, eta and mu hold
     # one row until the first step (module note 1)
     beta = np.zeros((1, p))
-    off = None if offset is None else np.asarray(offset, dtype=np.float64)
     if start is not None:
         beta[:] = start
         eta = rowwise_matmul(beta, XdT)
-        if off is not None:
-            eta += off
-    elif off is None:
-        eta = np.zeros((1, n))
     else:
-        eta = off[None, :].copy()
+        eta = np.zeros((1, n))
     mu = mean(eta)
     dev = deviance(cells, eta)
     if deviance_trace is None:
@@ -346,7 +339,7 @@ def _irls(Xd, Y, cfg, offset, deviance_trace, start=None):
         tri = rowwise_matmul(w, XX)
         tri[:, 0] = add(w, axis=1)
         A[:m, ii, jj] = tri
-        w *= eta if off is None else eta - off
+        w *= eta
         rhs0 = add(w, axis=1) + XtY[:, 0] - add(mu, axis=1)
         w -= mu
         rhs = rowwise_matmul(w, Xd) + XtY
@@ -361,8 +354,6 @@ def _irls(Xd, Y, cfg, offset, deviance_trace, start=None):
         for _ in range(30):
             beta_try = beta + t[:, None] * direction
             eta_try = rowwise_matmul(beta_try, XdT)
-            if off is not None:
-                eta_try += off
             dev_try = deviance(cells, eta_try)
             inc = dev_try > dev + slack
             if not inc.any():
@@ -400,13 +391,13 @@ def _irls(Xd, Y, cfg, offset, deviance_trace, start=None):
     return beta_out, mu_out, conv, iters
 
 
-def fit(d: Dataset, spec: ModelSpec, cfg: FitConfig = DEFAULT_FIT_CONFIG, offset=None) -> FittedModel:
+def fit(d: Dataset, spec: ModelSpec, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> FittedModel:
     """Fit the selected model to the dataset's own outcomes."""
     if d.n < 1:
         raise DataError("cannot fit a dataset with no observations")
     Xd = design_matrix(d, spec)
     Y = d.y.astype(np.float64)[None, :]
-    beta, mu, conv, iters = fit_batch(Xd, Y, cfg, offset=offset)
+    beta, mu, conv, iters = fit_batch(Xd, Y, cfg)
     return FittedModel(
         intercept=beta[0, 0],
         coefficients=beta[0, 1:],

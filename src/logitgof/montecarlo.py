@@ -27,10 +27,11 @@ P-value the one the zero-start fits define:
   A separated fit's diverging coefficients are no start: refits from them
   stop elsewhere than zero-start ones.
 
-The exact oracle (`exact.py`) keeps the zero start. It refits every one of
-the 2^n outcomes, most of them far from the observed data, and a warm
-start there costs iterations: on the bench's n = 16 lattice it raised the
-mean from 4.45 to 5.56 (tested) and from 5.37 to 6.11 (full).
+The exact oracle (`exact.py`) runs on this engine with the zero start. It
+refits every one of the 2^n outcomes, most of them far from the observed
+data, and a warm start there costs iterations: on the bench's n = 16
+lattice it raised the mean from 4.45 to 5.56 (tested) and from 5.37 to
+6.11 (full).
 """
 from __future__ import annotations
 
@@ -44,7 +45,16 @@ import numpy as np
 from .datamodel import Dataset, ModelSpec
 from .errors import ConfigError
 from .fitting import DEFAULT_FIT_CONFIG, FitConfig, design_matrix, fit_batch
-from .statistics import StatisticKind, evaluate_batch
+from .statistics import StatisticKind, evaluate_batch, exceeds
+
+
+def _check_models(d: Dataset, tested: ModelSpec, full: ModelSpec) -> None:
+    """The rule a Monte-Carlo plan and the exact oracle share: both
+    selections fit the dataset, and the tested one is nested in the full."""
+    tested.check_against(d)
+    full.check_against(d)
+    if not set(tested.included) <= set(full.included):
+        raise ConfigError("the tested model must be nested in the full model")
 
 
 @dataclass(frozen=True)
@@ -67,10 +77,7 @@ class SimulationPlan:
             raise ConfigError("num_simulations must be at least 1")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in 64 unsigned bits")
-        self.tested.check_against(self.dataset)
-        self.full.check_against(self.dataset)
-        if not set(self.tested.included) <= set(self.full.included):
-            raise ConfigError("the tested model must be nested in the full model")
+        _check_models(self.dataset, self.tested, self.full)
         if set(self.full.included) != set(range(self.dataset.m)):
             raise ConfigError("the full model must use every covariate in the dataset")
 
@@ -125,40 +132,40 @@ def draw_outcomes(master_seed: int, start: int, stop: int, mu_gen: np.ndarray) -
 
 
 class _Engine:
-    """What every simulation of a plan shares: both design matrices, the
-    generating fit and the starts of the two refits (module docstring)."""
+    """What every refit of a run shares: both design matrices, the
+    generating fit and the starts of the two refits (module docstring).
+    Without warm, every refit starts at zero, as the exact oracle's do."""
 
-    def __init__(self, plan: SimulationPlan):
-        d = plan.dataset
-        self.plan = plan
-        self.Xd_tested = design_matrix(d, plan.tested)
-        self.same = plan.tested.included == plan.full.included
-        self.Xd_full = self.Xd_tested if self.same else design_matrix(d, plan.full)
+    def __init__(self, d: Dataset, tested: ModelSpec, full: ModelSpec, kinds, cfg: FitConfig,
+                 warm: bool = True):
+        self.kinds, self.cfg = kinds, cfg
+        self.Xd_tested = design_matrix(d, tested)
+        self.same = tested.included == full.included
+        self.Xd_full = self.Xd_tested if self.same else design_matrix(d, full)
         self.y_obs = d.y.astype(np.float64)[None, :]
-        beta, mu, conv, _ = fit_batch(self.Xd_tested, self.y_obs, plan.fit_config)
+        beta, mu, conv, _ = fit_batch(self.Xd_tested, self.y_obs, cfg)
         self.mu_gen, self.converged = mu[0], bool(conv[0])
         self.start_tested = self.start_full = None
-        if self.converged:
+        if warm and self.converged:
             self.start_tested = beta[0]
-            cols = [0] + [1 + plan.full.included.index(j) for j in plan.tested.included]
+            cols = [0] + [1 + full.included.index(j) for j in tested.included]
             self.start_full = np.zeros(self.Xd_full.shape[1])
             self.start_full[cols] = beta[0]
 
     def evaluate(self, Y):
         """Refit both models to the outcome rows Y and evaluate every
         statistic; returns the (B, statistics) values."""
-        cfg = self.plan.fit_config
-        _, mu_t, _, _ = fit_batch(self.Xd_tested, Y, cfg, start=self.start_tested)
+        _, mu_t, _, _ = fit_batch(self.Xd_tested, Y, self.cfg, start=self.start_tested)
         mu_f = mu_t
         if not self.same:
-            _, mu_f, _, _ = fit_batch(self.Xd_full, Y, cfg, start=self.start_full)
-        return evaluate_batch(self.plan.statistics, Y, mu_t, mu_f)
+            _, mu_f, _, _ = fit_batch(self.Xd_full, Y, self.cfg, start=self.start_full)
+        return evaluate_batch(self.kinds, Y, mu_t, mu_f)
 
     def observed(self):
         """(StatisticKind, value) pairs for the observed outcomes, refitted
         as a draw equal to them is."""
         vals = self.evaluate(self.y_obs)[0]
-        return list(zip(self.plan.statistics, (float(v) for v in vals)))
+        return list(zip(self.kinds, (float(v) for v in vals)))
 
 
 def observed_statistics(plan: SimulationPlan):
@@ -170,7 +177,7 @@ def observed_statistics(plan: SimulationPlan):
     generates the Monte-Carlo draws. The values come from refitting the
     observed outcomes from the simulations' starts (module docstring).
     """
-    eng = _Engine(plan)
+    eng = _Engine(plan.dataset, plan.tested, plan.full, plan.statistics, plan.fit_config)
     pairs = eng.observed()
     mu_f, conv = eng.mu_gen, eng.converged
     if not eng.same:
@@ -184,7 +191,7 @@ def run_one_simulation(plan: SimulationPlan, index: int) -> np.ndarray:
     row that a batched run produces for the same index."""
     if not 0 <= index < plan.num_simulations:
         raise ConfigError(f"simulation index {index} outside 0..{plan.num_simulations - 1}")
-    eng = _Engine(plan)
+    eng = _Engine(plan.dataset, plan.tested, plan.full, plan.statistics, plan.fit_config)
     return eng.evaluate(draw_outcomes(plan.master_seed, index, index + 1, eng.mu_gen))[0]
 
 
@@ -206,7 +213,7 @@ def estimate_pvalues(plan: SimulationPlan, workers: int = 1, progress=None):
     """
     if workers < 1:
         raise ConfigError("workers must be at least 1")
-    eng = _Engine(plan)
+    eng = _Engine(plan.dataset, plan.tested, plan.full, plan.statistics, plan.fit_config)
     observed = eng.observed()
     obs_vals = np.array([v for _, v in observed])
 
@@ -221,7 +228,7 @@ def estimate_pvalues(plan: SimulationPlan, workers: int = 1, progress=None):
         start, stop = span
         Y = draw_outcomes(plan.master_seed, start, stop, eng.mu_gen)
         vals = eng.evaluate(Y)
-        counts = np.sum(vals >= obs_vals[None, :], axis=0).astype(np.int64)
+        counts = np.sum(exceeds(vals, obs_vals), axis=0).astype(np.int64)
         if progress is not None:
             with lock:
                 done_sims += stop - start

@@ -320,21 +320,21 @@ def _cell_statistic(family, ones, mu):
     return _CELL_SCALE.get(family, 1.0) * np.sum(cells, axis=1)
 
 
-def _hl_batch(ys, ms, sizes):
+def _hl_batch(ys, ms, grouping: GroupingScheme):
     """Grouped calibration statistic over consecutive blocks of an order.
 
     ys and ms are the outcomes and means taken in the order of the
-    grouping key (its stable argsort, per row), cut into blocks of the
-    given sizes, and each block contributes (observed ones - expected)^2
+    grouping key (its stable argsort, per row), cut into the grouping's
+    blocks, and each block contributes (observed ones - expected)^2
     over expected * (1 - expected/size). A block whose denominator
     degenerates contributes 0 when the count matches the degenerate
     expectation and +inf otherwise, so the simulation comparison stays
     well-defined.
     """
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    starts = grouping.starts()
     nk = np.add.reduceat(ys, starts, axis=1, dtype=np.float64)
     ek = np.add.reduceat(ms, starts, axis=1)
-    sk = np.asarray(sizes, float)
+    sk = np.asarray(grouping.sizes, float)
     den = ek * (1.0 - ek / sk)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = (nk - ek) ** 2 / den
@@ -377,7 +377,7 @@ def evaluate_batch(kinds, Y, mu_tested, mu_full) -> np.ndarray:
         ys, ms = _ordered_view(policy, ones8, mu, mu_full)
         for col, kind in enumerate(kinds):
             if kind.family == "hl" and source(kind.grouping_key) is policy:
-                out[:, col] = _hl_batch(ys, ms, default_grouping(n, kind.groups).sizes)
+                out[:, col] = _hl_batch(ys, ms, default_grouping(n, kind.groups))
         if policy in lanes:
             lane = lanes[policy]
             np.subtract(ys.T, ms.T, out=R[:, lane:lane + B])
@@ -394,6 +394,13 @@ def evaluate_batch(kinds, Y, mu_tested, mu_full) -> np.ndarray:
         if kind.family in _PLAIN_FAMILIES:
             out[:, col] = _cell_statistic(kind.family, ones, mu)
     return out
+
+
+def exceeds(vals, obs):
+    """vals >= obs, obs broadcast over the rows of vals: the one rule by which
+    the Monte-Carlo count and the exact oracle take a value to reach the
+    observed one. A NaN never reaches, nor a tie that rounding broke."""
+    return vals >= obs
 
 
 # ---------------------------------------------------------------------------
@@ -458,4 +465,4 @@ def hosmer_lemeshow(y, mu_for_value, mu_for_grouping, grouping: GroupingScheme) 
         )
     order = stable_argsort(_row(mu_for_grouping))[0]
     ms = np.asarray(mu_for_value, dtype=np.float64)[order]
-    return float(_hl_batch(y[order][None, :], ms[None, :], grouping.sizes)[0])
+    return float(_hl_batch(y[order][None, :], ms[None, :], grouping)[0])

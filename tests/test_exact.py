@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import logitgof.exact as exact_mod
+import logitgof.montecarlo as montecarlo_mod
 from logitgof import (
     ConfigError,
     Dataset,
@@ -62,9 +63,9 @@ class TestRankInvariance:
         tested, full = ModelSpec((0,)), ModelSpec((0, 1))
         base = exact_pvalue(d, tested, full, EUCLIDEAN).p_exact
 
-        original = exact_mod.evaluate_batch
+        original = montecarlo_mod.evaluate_batch
         monkeypatch.setattr(
-            exact_mod, "evaluate_batch",
+            montecarlo_mod, "evaluate_batch",
             lambda *a, **kw: 2.0 * original(*a, **kw) + 1.0,
         )
         transformed = exact_pvalue(d, tested, full, EUCLIDEAN).p_exact
@@ -73,7 +74,7 @@ class TestRankInvariance:
     def test_constant_statistic_gives_one(self, monkeypatch):
         d = self._tiny_dataset()
         monkeypatch.setattr(
-            exact_mod, "evaluate_batch",
+            montecarlo_mod, "evaluate_batch",
             lambda kinds, Y, mu_t, mu_f: np.ones((Y.shape[0], len(kinds))),
         )
         res = exact_pvalue(d, ModelSpec((0,)), ModelSpec((0, 1)), EUCLIDEAN)
@@ -112,3 +113,71 @@ class TestEnumerationMechanics:
         d = intercept_only_dataset([1, 0])
         with pytest.raises(ConfigError, match="at least one"):
             exact_pvalues(d, ModelSpec(), ModelSpec(), ())
+
+    def test_models_must_be_nested(self, make_random_dataset):
+        # the oracle keeps the nesting rule the Monte-Carlo plan enforces
+        d = make_random_dataset(31, n=6, m=2)
+        with pytest.raises(ConfigError, match="nested"):
+            exact_pvalues(d, ModelSpec((1,)), ModelSpec((0,)), (DEVIANCE,))
+
+
+# float.hex of exact_pvalues on make_random_dataset(seed, n, m=2) against the
+# full model (0, 1), for every statistic family; recorded before the oracle
+# moved onto the Monte-Carlo engine, which must keep every bit
+ORACLE_PINS = {
+    (610, 10, ()): {
+        "ks:mu-full": "0x1.fe790441bbdf7p-4",
+        "ks:mu-tested": "0x1.f017482a98030p-3",
+        "ks:residual": "0x1.3b337082ba7e8p-1",
+        "ks:given": "0x1.f017482a98030p-3",
+        "kuiper:mu-full": "0x1.416df68d167d4p-3",
+        "kuiper:residual": "0x1.369791d93b2d8p-1",
+        "hl:3:mu-full": "0x1.4617268eea517p-4",
+        "hl:3:mu-tested": "0x1.4712d767125aap-2",
+        "half-abs-sum": "0x1.3b337082ba7e8p-1",
+        "deviance": "0x1.369791d93b2d8p-1",
+        "freeman-tukey": "0x1.3b337082ba7e8p-1",
+        "pearson-chi2": "0x1.b38d151ff97a5p-1",
+        "euclidean": "0x1.3b337082ba7e8p-1",
+    },
+    (611, 11, (0,)): {
+        "ks:mu-full": "0x1.47602aac91bc4p-2",
+        "ks:mu-tested": "0x1.9bac1bd254bc5p-3",
+        "ks:residual": "0x1.50e3d8f49107cp-2",
+        "ks:given": "0x1.e9668557327a1p-4",
+        "kuiper:mu-full": "0x1.d89c8da7971acp-2",
+        "kuiper:residual": "0x1.50e3d8f49107cp-2",
+        "hl:3:mu-full": "0x1.d53fc3167fe38p-2",
+        "hl:3:mu-tested": "0x1.4907a30fdc15cp-2",
+        "half-abs-sum": "0x1.50e3d8f49107cp-2",
+        "deviance": "0x1.443b4548bc933p-2",
+        "freeman-tukey": "0x1.3ff153a9c296dp-2",
+        "pearson-chi2": "0x1.1508be795f17ep-3",
+        "euclidean": "0x1.58f64ce6f2ae8p-2",
+    },
+    (612, 12, (0, 1)): {
+        "ks:mu-full": "0x1.13c137c57bdf4p-4",
+        "ks:mu-tested": "0x1.13c137c57bdf4p-4",
+        "ks:residual": "0x1.684456307488dp-3",
+        "ks:given": "0x1.38605e1ca8cccp-2",
+        "kuiper:mu-full": "0x1.fb6409d621a08p-4",
+        "kuiper:residual": "0x1.684456307488dp-3",
+        "hl:3:mu-full": "0x1.2f38d24f54df7p-2",
+        "hl:3:mu-tested": "0x1.2f38d24f54df7p-2",
+        "half-abs-sum": "0x1.684456307488dp-3",
+        "deviance": "0x1.7a884786df804p-3",
+        "freeman-tukey": "0x1.5e0952e15dc7cp-3",
+        "pearson-chi2": "0x1.27eb7edbaf637p-2",
+        "euclidean": "0x1.4ce1569274a7cp-3",
+    },
+}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("case", ORACLE_PINS, ids=["l0", "l1", "tested-is-full"])
+    def test_every_family(self, make_random_dataset, case):
+        seed, n, tested = case
+        pins = ORACLE_PINS[case]
+        d = make_random_dataset(seed, n=n, m=2)
+        res = exact_pvalues(d, ModelSpec(tested), ModelSpec((0, 1)), parse_statistics(pins))
+        assert {k: r.p_exact.hex() for k, r in zip(pins, res)} == pins

@@ -248,14 +248,6 @@ class TestFitProperties:
         assert abs(a.intercept - b.intercept) < 1e-8
         assert np.max(np.abs(a.coefficients - b.coefficients)) < 1e-8
 
-    def test_offset_of_own_logits_gives_zero_coefficients(self, finney_dataset):
-        d = finney_dataset
-        f = fit(d, ModelSpec((0, 1)))
-        offset = np.log(f.mu / (1.0 - f.mu))
-        g = fit(d, ModelSpec((0, 1)), offset=offset)
-        assert abs(g.intercept) < 1e-6
-        assert np.max(np.abs(g.coefficients)) < 1e-6
-
     def test_residuals_sum_to_zero_for_converged_fits(self, make_random_dataset):
         for seed in range(10):
             d = make_random_dataset(seed, n=60, m=2)
@@ -342,12 +334,11 @@ class TestBatchSemantics:
                 assert np.array_equal(whole[lo:hi], sub)
 
     @pytest.mark.parametrize(
-        "case", ["finney-draws", "offset", "max-iterations-1", "max-iterations-3"]
+        "case", ["finney-draws", "max-iterations-1", "max-iterations-3"]
     )
     def test_matches_the_reference_loop_bit_for_bit(self, finney_dataset, case, monkeypatch):
         # intercept-only fits keep the reference loop's stopping rule and
-        # every floating-point operation of it, through the class path and,
-        # with an offset, through the per-row loop
+        # every floating-point operation of it, through the class path
         pinv_calls = []
         pinv = np.linalg.pinv
         monkeypatch.setattr(np.linalg, "pinv", lambda a: pinv_calls.append(1) or pinv(a))
@@ -357,16 +348,13 @@ class TestBatchSemantics:
         # the s = 0 and s = n classes never converge
         Y[100] = 0.0
         Y[200] = 1.0
-        cfg, offset = DEFAULT_FIT_CONFIG, None
-        if case == "offset":
-            offset = np.linspace(-1.0, 1.0, d.n)
-            Y = Y[:500]
-        elif case.startswith("max-iterations"):
+        cfg = DEFAULT_FIT_CONFIG
+        if case.startswith("max-iterations"):
             cfg = FitConfig(max_iterations=int(case[-1]))
             Y = Y[:500]
         trace, ref_trace = [], []
-        got = fit_batch(X, Y, cfg, offset=offset, deviance_trace=trace)
-        want = ref_irls(X, Y, cfg, offset, ref_trace)
+        got = fit_batch(X, Y, cfg, deviance_trace=trace)
+        want = ref_irls(X, Y, cfg, None, ref_trace)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert np.array_equal(a, b)
@@ -378,8 +366,8 @@ class TestBatchSemantics:
 
     @pytest.mark.parametrize(
         "case",
-        ["finney-draws", "n575-p12", "offset", "duplicated-column",
-         "max-iterations-1", "max-iterations-3"],
+        ["finney-draws", "n575-p12", "duplicated-column", "max-iterations-1",
+         "max-iterations-3"],
     )
     def test_agrees_with_the_reference_loop(self, finney_dataset, case, monkeypatch):
         # with covariates a row may also stop on the Newton decrement, and
@@ -392,22 +380,19 @@ class TestBatchSemantics:
         d = finney_dataset
         X = design_matrix(d, ModelSpec((0, 1)))
         Y = draw_outcomes(12345, 0, 6721, fit(d, ModelSpec((0, 1))).mu)
-        cfg, offset = DEFAULT_FIT_CONFIG, None
+        cfg = DEFAULT_FIT_CONFIG
         if case == "n575-p12":
             X, Y = n575_design()
-        elif case == "offset":
-            offset = np.linspace(-1.0, 1.0, d.n)
-            Y = Y[:500]
         elif case == "duplicated-column":
             X = np.column_stack([X, X[:, 1]])
             Y = Y[:300]
         elif case.startswith("max-iterations"):
             cfg = FitConfig(max_iterations=int(case[-1]))
             Y = Y[:500]
-        beta, mu, conv, iters = fit_batch(X, Y, cfg, offset=offset)
+        beta, mu, conv, iters = fit_batch(X, Y, cfg)
         got_pinv = bool(pinv_calls)
         pinv_calls.clear()
-        ref_beta, _, ref_conv, ref_iters = ref_irls(X, Y, cfg, offset, None)
+        ref_beta, _, ref_conv, ref_iters = ref_irls(X, Y, cfg, None, None)
         assert bool(pinv_calls) == got_pinv == (case == "duplicated-column")
         assert np.array_equal(conv, ref_conv)
         assert np.array_equal(iters == cfg.max_iterations, ref_iters == cfg.max_iterations)
@@ -416,7 +401,7 @@ class TestBatchSemantics:
             assert np.any(iters == 100)
 
         def dev(b):
-            eta = b @ X.T + (0.0 if offset is None else offset)
+            eta = b @ X.T
             return 2.0 * (np.sum(ref_softplus(eta), axis=1) - np.sum(Y * eta, axis=1))
 
         assert np.all((dev(beta) <= dev(ref_beta) + 1e-9)[conv])
@@ -458,7 +443,7 @@ class TestBatchSemantics:
         Y = np.zeros((3 * (n + 1), n))
         for row in range(Y.shape[0]):
             Y[row, rng.permutation(n)[: row // 3]] = 1.0
-        beta, mu, conv, iters = _irls(np.ones((n, 1)), Y, DEFAULT_FIT_CONFIG, None, None)
+        beta, mu, conv, iters = _irls(np.ones((n, 1)), Y, DEFAULT_FIT_CONFIG, None)
         for s in range(n + 1):
             rows = slice(3 * s, 3 * s + 3)
             assert np.all(mu[rows] == mu[3 * s, 0])
@@ -477,7 +462,7 @@ class TestBatchSemantics:
         Y[5000] = 1.0
         trace_cls, trace_rows = [], []
         got = fit_batch(X, Y, deviance_trace=trace_cls)
-        want = _irls(X, Y, DEFAULT_FIT_CONFIG, None, trace_rows)
+        want = _irls(X, Y, DEFAULT_FIT_CONFIG, trace_rows)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert np.array_equal(a, b)
@@ -557,14 +542,12 @@ class TestStart:
             for whole, sub in zip(got, part):
                 assert np.array_equal(whole[lo:hi], sub)
 
-    @pytest.mark.parametrize("offset", [False, True])
-    def test_intercept_only_fits_ignore_it(self, finney_dataset, offset):
+    def test_intercept_only_fits_ignore_it(self, finney_dataset):
         d = finney_dataset
         X = design_matrix(d, ModelSpec())
         Y = draw_outcomes(12345, 0, 500, fit(d, ModelSpec()).mu)
-        off = np.linspace(-1.0, 1.0, d.n) if offset else None
-        got = fit_batch(X, Y, offset=off, start=np.array([0.7]))
-        want = fit_batch(X, Y, offset=off)
+        got = fit_batch(X, Y, start=np.array([0.7]))
+        want = fit_batch(X, Y)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 

@@ -143,7 +143,7 @@ class TestEngine:
                   "pearson-chi2", "hl:5:mu-full", "hl:3:mu-tested")
         plan = small_plan(num_simulations=500, labels=labels, tested=ModelSpec(tested))
         obs = np.array([e.observed_value for e in estimate_pvalues(plan)])
-        eng = _Engine(plan)
+        eng = _Engine(plan.dataset, plan.tested, plan.full, plan.statistics, plan.fit_config)
         assert eng.converged and eng.start_full is not None
         Y = draw_outcomes(plan.master_seed, 0, 500, eng.mu_gen)
         rows = [0, 17, 250, 499]
@@ -176,7 +176,7 @@ class TestEngine:
             dataset=d, tested=tested, full=ModelSpec((0, 1)),
             statistics=kinds, num_simulations=i, master_seed=502,
         )
-        eng = _Engine(plan)
+        eng = _Engine(plan.dataset, plan.tested, plan.full, plan.statistics, plan.fit_config)
         assert not eng.converged and eng.start_tested is None and eng.start_full is None
         oracle = exact_pvalues(d, plan.tested, plan.full, kinds)
         for e, ex in zip(estimate_pvalues(plan), oracle):
