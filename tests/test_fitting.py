@@ -542,14 +542,21 @@ class TestStart:
             for whole, sub in zip(got, part):
                 assert np.array_equal(whole[lo:hi], sub)
 
-    def test_intercept_only_fits_ignore_it(self, finney_dataset):
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_intercept_only_fits_ignore_it(self, finney_dataset, traced):
+        # with a deviance trace the per-step deviances must agree too
         d = finney_dataset
         X = design_matrix(d, ModelSpec())
         Y = draw_outcomes(12345, 0, 500, fit(d, ModelSpec()).mu)
-        got = fit_batch(X, Y, start=np.array([0.7]))
-        want = fit_batch(X, Y)
+        got_trace, want_trace = ([], []) if traced else (None, None)
+        got = fit_batch(X, Y, start=np.array([0.7]), deviance_trace=got_trace)
+        want = fit_batch(X, Y, deviance_trace=want_trace)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+        if traced:
+            assert len(got_trace) == len(want_trace) > 0
+            for a, b in zip(got_trace, want_trace):
+                assert np.array_equal(a, b)
 
 
 
