@@ -12,6 +12,7 @@ import sys
 
 from .errors import ConfigError, DataError, NumericalError
 from .experiment import (
+    _CONFIG_KEYS,
     DEFAULT_NUM_SIMULATIONS,
     ExperimentConfig,
     emit_report,
@@ -49,15 +50,15 @@ def build_parser() -> _Parser:
     p.add_argument("--config", metavar="PATH", help="JSON config file; flags override its keys")
     p.add_argument("--dataset", metavar="SRC", help="CSV path, or 'finney' for the built-in dataset")
     p.add_argument("--dependent", metavar="NAME", help="name of the 0/1 outcome column")
-    p.add_argument("--tested", metavar="NAMES",
+    p.add_argument("--tested", type=_split_list, metavar="NAMES",
                    help="comma-separated tested-model covariates; empty for intercept-only")
-    p.add_argument("--full", metavar="NAMES",
+    p.add_argument("--full", type=_split_list, metavar="NAMES",
                    help="comma-separated full-model covariates; default: all columns")
     p.add_argument("--inject-uniform", type=int, metavar="N",
                    help="append N pseudo-random uniform covariates u1..uN")
     p.add_argument("--inject-seed", type=int, metavar="SEED",
                    help="seed for the injected covariates")
-    p.add_argument("--statistics", metavar="LABELS", help=_STAT_HELP)
+    p.add_argument("--statistics", type=_split_list, metavar="LABELS", help=_STAT_HELP)
     p.add_argument("--num-simulations", type=int, metavar="I",
                    help=f"Monte-Carlo sample size (default {DEFAULT_NUM_SIMULATIONS})")
     p.add_argument("--master-seed", type=int, metavar="SEED",
@@ -73,25 +74,11 @@ def build_parser() -> _Parser:
 
 
 def _merge(args) -> ExperimentConfig:
+    """Lay the flags that were given over the config file's keys; each
+    config flag's dest is its config key."""
     doc = read_config_doc(args.config) if args.config else {}
-    if args.dataset is not None:
-        doc["dataset"] = args.dataset
-    if args.dependent is not None:
-        doc["dependent"] = args.dependent
-    if args.tested is not None:
-        doc["tested"] = _split_list(args.tested)
-    if args.full is not None:
-        doc["full"] = _split_list(args.full)
-    if args.inject_uniform is not None:
-        doc["inject_uniform"] = args.inject_uniform
-    if args.inject_seed is not None:
-        doc["inject_seed"] = args.inject_seed
-    if args.statistics is not None:
-        doc["statistics"] = _split_list(args.statistics)
-    if args.num_simulations is not None:
-        doc["num_simulations"] = args.num_simulations
-    if args.master_seed is not None:
-        doc["master_seed"] = args.master_seed
+    flags = vars(args)
+    doc.update({key: flags[key] for key in _CONFIG_KEYS if flags[key] is not None})
     return ExperimentConfig.from_dict(doc)
 
 

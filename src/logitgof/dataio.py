@@ -97,6 +97,8 @@ def inject_uniform_covariates(d: Dataset, count: int, seed: int) -> Dataset:
     """
     if count < 1:
         raise ConfigError("inject_uniform count must be at least 1")
+    if not 0 <= seed < 1 << 128:
+        raise ConfigError("inject_seed must lie in [0, 2**128), the Philox key range")
     new_names = tuple(f"u{j + 1}" for j in range(count))
     clash = set(new_names) & set(d.names)
     if clash:

@@ -71,9 +71,8 @@ def exact_pvalues(
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
         Y = _outcome_rows(start, stop, d.n)
-        lw = np.zeros(stop - start)
-        for j in range(d.n):
-            lw += np.where(Y[:, j] == 1.0, log_mu[j], log_1m[j])
+        # cumsum adds left to right, as a per-observation loop would
+        lw = np.cumsum(np.where(Y == 1.0, log_mu, log_1m), axis=1)[:, -1]
         w = np.exp(lw)
         weight_sum += float(np.sum(w))
         hit = exceeds(eng.evaluate(Y), obs_vals)

@@ -28,16 +28,17 @@ from .statistics import StatisticKind, parse_statistics
 
 DEFAULT_NUM_SIMULATIONS = 100_000
 
+# each config key's JSON type and the ExperimentConfig field it sets
 _CONFIG_KEYS = {
-    "dataset": str,
-    "dependent": str,
-    "tested": list,
-    "full": list,
-    "inject_uniform": int,
-    "inject_seed": int,
-    "statistics": list,
-    "num_simulations": int,
-    "master_seed": int,
+    "dataset": (str, "dataset_source"),
+    "dependent": (str, "dependent"),
+    "tested": (list, "tested_variables"),
+    "full": (list, "full_variables"),
+    "inject_uniform": (int, "inject_uniform"),
+    "inject_seed": (int, "inject_seed"),
+    "statistics": (list, "statistics"),
+    "num_simulations": (int, "num_simulations"),
+    "master_seed": (int, "master_seed"),
 }
 
 
@@ -97,21 +98,19 @@ class ExperimentConfig:
         for key in ("dataset", "dependent", "statistics"):
             if key not in doc:
                 raise ConfigError(f"config is missing required key {key!r}")
-        for key, want in _CONFIG_KEYS.items():
+        # an absent tested or full list is an empty one
+        kw = {"tested_variables": (), "full_variables": ()}
+        for key, (want, name) in _CONFIG_KEYS.items():
+            if key not in doc:
+                continue
+            value = doc[key]
             # bool is a subclass of int, so true would otherwise count as 1
-            if key in doc and (isinstance(doc[key], bool) or not isinstance(doc[key], want)):
+            if isinstance(value, bool) or not isinstance(value, want):
                 raise ConfigError(f"config key {key!r} must be a {want.__name__}")
-        kinds = parse_statistics(doc["statistics"])
-        kw = dict(
-            dataset_source=doc["dataset"],
-            dependent=doc["dependent"],
-            tested_variables=tuple(doc.get("tested", ())),
-            full_variables=tuple(doc.get("full", ())),
-            statistics=kinds,
-        )
-        for key in ("num_simulations", "master_seed", "inject_uniform", "inject_seed"):
-            if key in doc:
-                kw[key] = doc[key]
+            if want is list and not all(isinstance(v, str) for v in value):
+                raise ConfigError(f"config key {key!r} must be a list of strings")
+            kw[name] = value
+        kw["statistics"] = parse_statistics(doc["statistics"])
         return cls(**kw)
 
 
@@ -261,33 +260,9 @@ _CSV_COLUMNS = (
 )
 
 
-def emit_csv(r: Report) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_CSV_COLUMNS)
-    for e in r.estimates:
-        writer.writerow([
-            e.statistic.label,
-            repr(e.observed_value),
-            e.exceed_count,
-            e.num_simulations,
-            repr(e.p_hat),
-            repr(e.std_error),
-            "" if e.p_upper_bound is None else repr(e.p_upper_bound),
-            r.dataset_id,
-            r.dependent,
-            r.n,
-            r.l,
-            r.m,
-            r.master_seed,
-            r.inject_uniform,
-            "" if r.inject_seed is None else r.inject_seed,
-        ])
-    return buf.getvalue().encode("utf-8")
-
-
-def emit_json(r: Report) -> bytes:
-    doc = {
+def _report_fields(r: Report) -> dict:
+    """The report's own fields under their file names, in file order."""
+    return {
         "dataset": r.dataset_id,
         "dependent": r.dependent,
         "n": r.n,
@@ -297,25 +272,44 @@ def emit_json(r: Report) -> bytes:
         "master_seed": r.master_seed,
         "inject_uniform": r.inject_uniform,
         "inject_seed": r.inject_seed,
-        "statistics": [
-            {
-                "statistic": e.statistic.label,
-                "observed_value": e.observed_value,
-                "exceed_count": e.exceed_count,
-                "num_simulations": e.num_simulations,
-                "p_hat": e.p_hat,
-                "std_error": e.std_error,
-                "p_upper_bound": e.p_upper_bound,
-            }
-            for e in r.estimates
-        ],
     }
+
+
+def _estimate_fields(e: PValueEstimate) -> dict:
+    """One estimate's fields under their file names, in file order."""
+    return {
+        "statistic": e.statistic.label,
+        "observed_value": e.observed_value,
+        "exceed_count": e.exceed_count,
+        "num_simulations": e.num_simulations,
+        "p_hat": e.p_hat,
+        "std_error": e.std_error,
+        "p_upper_bound": e.p_upper_bound,
+    }
+
+
+def emit_csv(r: Report) -> bytes:
+    """One row per estimate, the estimate's num_simulations filling the
+    single column of that name. csv writes a float as its repr, which
+    round-trips, and None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, _CSV_COLUMNS)
+    writer.writeheader()
+    head = _report_fields(r)
+    writer.writerows({**head, **_estimate_fields(e)} for e in r.estimates)
+    return buf.getvalue().encode("utf-8")
+
+
+def emit_json(r: Report) -> bytes:
+    doc = {**_report_fields(r), "statistics": [_estimate_fields(e) for e in r.estimates]}
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
 def report_from_json(data: bytes) -> Report:
     """Rebuild a Report from emit_json output. Wall time is not stored in
-    JSON, so the rebuilt report carries 0.0 there; equality ignores it."""
+    JSON, so the rebuilt report carries 0.0 there; equality ignores it.
+    The derived estimate fields (p_hat, std_error, p_upper_bound) are
+    recomputed from the counts."""
     doc = json.loads(data.decode("utf-8"))
     estimates = tuple(
         PValueEstimate(
@@ -324,20 +318,9 @@ def report_from_json(data: bytes) -> Report:
             exceed_count=row["exceed_count"],
             num_simulations=row["num_simulations"],
         )
-        for row in doc["statistics"]
+        for row in doc.pop("statistics")
     )
-    return Report(
-        dataset_id=doc["dataset"],
-        dependent=doc["dependent"],
-        n=doc["n"],
-        l=doc["l"],
-        m=doc["m"],
-        num_simulations=doc["num_simulations"],
-        master_seed=doc["master_seed"],
-        inject_uniform=doc["inject_uniform"],
-        inject_seed=doc["inject_seed"],
-        estimates=estimates,
-    )
+    return Report(dataset_id=doc.pop("dataset"), estimates=estimates, **doc)
 
 
 _EMITTERS = {"text": emit_text, "csv": emit_csv, "json": emit_json}

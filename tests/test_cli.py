@@ -12,7 +12,8 @@ import sys
 import pytest
 
 from logitgof import finney
-from logitgof.cli import main
+from logitgof.cli import build_parser, main
+from logitgof.experiment import _CONFIG_KEYS
 
 RUN = [sys.executable, "-m", "logitgof.cli"]
 TINY = ["--dataset", "finney", "--dependent", "response",
@@ -175,3 +176,40 @@ class TestInProcess:
                      "--statistics", "deviance", "--num-simulations", "5"])
         assert code == 2
         assert b"cannot read" in capsysbinary.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("statistics", [1]),
+        ("tested", [["volume"]]),
+        ("full", [1]),
+    ])
+    def test_list_entries_must_be_strings(self, tmp_path, capsysbinary, key, value):
+        doc = {"dataset": "finney", "dependent": "response",
+               "statistics": ["deviance"], "num_simulations": 5}
+        doc[key] = value
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--config", str(cfg)]) == 1
+        err = capsysbinary.readouterr().err
+        assert f"config key {key!r} must be a list of strings".encode() in err
+        assert b"Traceback" not in err
+
+    def test_injection_seed_outside_the_key_range_exits_1(self, capsysbinary):
+        code = main(TINY + ["--full", "volume,rate,u1",
+                            "--inject-uniform", "1", "--inject-seed", "-3"])
+        assert code == 1
+        err = capsysbinary.readouterr().err
+        assert b"inject_seed must lie in [0, 2**128)" in err
+        assert b"Traceback" not in err
+
+
+# flags that steer a run but set no config key
+RUN_FLAG_DESTS = {"help", "config", "workers", "format", "output", "progress"}
+
+
+def test_config_keys_and_flags_match_one_to_one():
+    # flags reach the config by dest, so a dest that drifted from its key
+    # would drop the flag silently
+    dests = [action.dest for action in build_parser()._actions]
+    for key in _CONFIG_KEYS:
+        assert dests.count(key) == 1, key
+    assert set(dests) - set(_CONFIG_KEYS) == RUN_FLAG_DESTS

@@ -145,6 +145,15 @@ class TestInjectUniform:
         with pytest.raises(ConfigError, match="at least 1"):
             inject_uniform_covariates(awkward_dataset(), 0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-3, 2**128])
+    def test_seed_outside_the_philox_key_range(self, seed):
+        with pytest.raises(ConfigError, match=r"inject_seed must lie in \[0, 2\*\*128\)"):
+            inject_uniform_covariates(awkward_dataset(), 1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    def test_seed_at_the_ends_of_the_key_range(self, seed):
+        assert inject_uniform_covariates(awkward_dataset(), 1, seed=seed).m == 4
+
     def test_name_collision(self):
         d = Dataset([0, 1], [[1.0], [2.0]], ("u1",))
         with pytest.raises(ConfigError, match="'u1' collides"):

@@ -327,3 +327,89 @@ class TestEmission:
     def test_unknown_format(self):
         with pytest.raises(ConfigError, match="unknown report format 'yaml'"):
             emit_report(self.small_report(), "yaml")
+
+
+# two hand-built reports and the bytes each emitter gave for them before the
+# report fields were tabled once; the bytes are file formats, so they are
+# pinned literally
+PINNED_REPORTS = {
+    "zero-count": Report(
+        dataset_id="finney", dependent="response", n=39, l=0, m=2,
+        num_simulations=3000, master_seed=11, inject_uniform=0, inject_seed=None,
+        estimates=(
+            PValueEstimate(StatisticKind.parse("ks:mu-tested"), 2.9230769230769247, 0, 3000),
+            PValueEstimate(StatisticKind.parse("deviance"), 29.7723123, 1234, 3000),
+        ),
+        wall_time_seconds=2.25,
+    ),
+    "injected": Report(
+        dataset_id="data/x.csv", dependent="y", n=12, l=1, m=4,
+        num_simulations=700, master_seed=3, inject_uniform=2, inject_seed=5,
+        estimates=(PValueEstimate(StatisticKind.parse("hl:3:mu-full"), 0.1, 7, 700),),
+        wall_time_seconds=0.04,
+    ),
+}
+
+_CSV_HEADER = (
+    b"statistic,observed_value,exceed_count,num_simulations,p_hat,std_error,"
+    b"p_upper_bound,dataset,dependent,n,l,m,master_seed,inject_uniform,inject_seed\r\n"
+)
+_TEXT_HEAD = (
+    b"statistic              observed    exceed            p    std.err\n"
+    + b"-" * 65 + b"\n"
+)
+
+PINNED_BYTES = {
+    ("zero-count", "text"): (
+        b"dataset: finney   dependent: response   n=39  l=0  m=2\n"
+        b"simulations: 3000   master_seed: 11\n"
+        b"wall time: 2.2 s\n\n" + _TEXT_HEAD
+        + b"ks:mu-tested           2.923077         0 <= 0.0003333333333333333   0.00e+00\n"
+        b"deviance              29.772312      1234     0.411333   8.98e-03\n"
+    ),
+    ("zero-count", "csv"): _CSV_HEADER + (
+        b"ks:mu-tested,2.9230769230769247,0,3000,0.0,0.0,0.0003333333333333333,"
+        b"finney,response,39,0,2,11,0,\r\n"
+        b"deviance,29.7723123,1234,3000,0.41133333333333333,0.008984026977961539,,"
+        b"finney,response,39,0,2,11,0,\r\n"
+    ),
+    ("zero-count", "json"): (
+        b'{\n  "dataset": "finney",\n  "dependent": "response",\n  "n": 39,\n'
+        b'  "l": 0,\n  "m": 2,\n  "num_simulations": 3000,\n  "master_seed": 11,\n'
+        b'  "inject_uniform": 0,\n  "inject_seed": null,\n  "statistics": [\n'
+        b'    {\n      "statistic": "ks:mu-tested",\n'
+        b'      "observed_value": 2.9230769230769247,\n      "exceed_count": 0,\n'
+        b'      "num_simulations": 3000,\n      "p_hat": 0.0,\n      "std_error": 0.0,\n'
+        b'      "p_upper_bound": 0.0003333333333333333\n    },\n'
+        b'    {\n      "statistic": "deviance",\n      "observed_value": 29.7723123,\n'
+        b'      "exceed_count": 1234,\n      "num_simulations": 3000,\n'
+        b'      "p_hat": 0.41133333333333333,\n      "std_error": 0.008984026977961539,\n'
+        b'      "p_upper_bound": null\n    }\n  ]\n}\n'
+    ),
+    ("injected", "text"): (
+        b"dataset: data/x.csv   dependent: y   n=12  l=1  m=4\n"
+        b"simulations: 700   master_seed: 3   injected: 2 (seed 5)\n"
+        b"wall time: 0.0 s\n\n" + _TEXT_HEAD
+        + b"hl:3:mu-full           0.100000         7     0.010000   3.76e-03\n"
+    ),
+    ("injected", "csv"): _CSV_HEADER + (
+        b"hl:3:mu-full,0.1,7,700,0.01,0.0037606990231680523,,data/x.csv,y,12,1,4,3,2,5\r\n"
+    ),
+    ("injected", "json"): (
+        b'{\n  "dataset": "data/x.csv",\n  "dependent": "y",\n  "n": 12,\n'
+        b'  "l": 1,\n  "m": 4,\n  "num_simulations": 700,\n  "master_seed": 3,\n'
+        b'  "inject_uniform": 2,\n  "inject_seed": 5,\n  "statistics": [\n'
+        b'    {\n      "statistic": "hl:3:mu-full",\n      "observed_value": 0.1,\n'
+        b'      "exceed_count": 7,\n      "num_simulations": 700,\n      "p_hat": 0.01,\n'
+        b'      "std_error": 0.0037606990231680523,\n      "p_upper_bound": null\n'
+        b'    }\n  ]\n}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(PINNED_BYTES))
+def test_emitted_bytes_are_pinned(name, fmt):
+    r = PINNED_REPORTS[name]
+    assert emit_report(r, fmt) == PINNED_BYTES[name, fmt]
+    if fmt == "json":
+        assert report_from_json(PINNED_BYTES[name, fmt]) == r
