@@ -33,7 +33,7 @@ oracle = exact_pvalues(d, tested, full, kinds)
 print(f"enumerated {oracle[0].outcomes_enumerated} outcome vectors (n = {n})")
 
 i = 200_000
-plan = SimulationPlan(dataset=d, tested=tested, full=full, statistics=kinds,
+plan = SimulationPlan(dataset=d, tested=tested, statistics=kinds,
                       num_simulations=i, master_seed=42)
 estimates = estimate_pvalues(plan)
 

@@ -14,8 +14,6 @@ from .datamodel import (
     Ordering,
     OrderingPolicy,
     default_grouping,
-    ensure_valid,
-    validate,
 )
 from .datasets import FINNEY_DEPENDENT, finney
 from .dataio import export_csv, inject_uniform_covariates, load_csv
@@ -85,7 +83,6 @@ __all__ = [
     "deviance",
     "draw_outcomes",
     "emit_report",
-    "ensure_valid",
     "estimate_pvalues",
     "euclidean_sq",
     "evaluate_batch",
@@ -110,6 +107,5 @@ __all__ = [
     "residuals",
     "run_experiment",
     "run_one_simulation",
-    "validate",
     "__version__",
 ]

@@ -12,7 +12,7 @@ import io
 
 import numpy as np
 
-from .datamodel import Dataset, ensure_valid
+from .datamodel import Dataset
 from .errors import ConfigError, DataError
 
 
@@ -72,7 +72,7 @@ def load_csv(path, dependent_name: str) -> Dataset:
         rows.append(vals)
     if not rows:
         raise DataError(f"{path} has a header but no data rows")
-    return ensure_valid(Dataset(yraw, rows, names))
+    return Dataset(yraw, rows, names)
 
 
 def export_csv(d: Dataset, dependent_name: str, path) -> None:

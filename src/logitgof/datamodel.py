@@ -23,6 +23,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Dataset:
     """Binary outcomes plus a real covariate matrix with named columns.
 
+    Construction checks every invariant and raises DataError on the first
+    one broken: y one-dimensional with at least one row, x one row per
+    outcome, one distinct name per column, y all 0 or 1, x all finite.
+
     y is stored as integers so the "0 or 1" invariant is exact and code that
     branches on y never has to reason about float equality.
     """
@@ -32,13 +36,17 @@ class Dataset:
     names: tuple[str, ...]
 
     def __init__(self, y, x, names=None):
-        yarr = _frozen(np.asarray(y, dtype=np.int64).copy())
-        xarr = _frozen(np.array(x, dtype=np.float64, ndmin=2, copy=True))
+        # y passes through float so that a fraction is caught as non-binary
+        # instead of being truncated to an integer
+        yarr = np.array(y, dtype=np.float64)
+        xarr = np.array(x, dtype=np.float64, ndmin=2, copy=True)
         if names is None:
             names = tuple(f"x{j + 1}" for j in range(xarr.shape[1]))
-        object.__setattr__(self, "y", yarr)
-        object.__setattr__(self, "x", xarr)
-        object.__setattr__(self, "names", tuple(str(s) for s in names))
+        names = tuple(str(s) for s in names)
+        _check_dataset(yarr, xarr, names)
+        object.__setattr__(self, "y", _frozen(yarr.astype(np.int64)))
+        object.__setattr__(self, "x", _frozen(xarr))
+        object.__setattr__(self, "names", names)
 
     @property
     def n(self) -> int:
@@ -64,34 +72,30 @@ class Dataset:
         )
 
 
-def validate(d: Dataset) -> str | None:
-    """Return a description of the first violated Dataset invariant, or None."""
-    if d.y.ndim != 1:
-        return f"dependent variable must be one-dimensional, got shape {d.y.shape}"
-    if d.x.ndim != 2 or d.x.shape[0] != d.y.shape[0]:
-        return f"covariate matrix shape {d.x.shape} does not match {d.y.shape[0]} observations"
-    if d.n < 1:
-        return "dataset has no observations"
-    bad = np.nonzero((d.y != 0) & (d.y != 1))[0]
+def _check_dataset(y: np.ndarray, x: np.ndarray, names: tuple[str, ...]) -> None:
+    """Raise DataError naming the first Dataset invariant that y, x and
+    names break. Names are counted before the cells are checked, so that a
+    non-finite cell can always be named."""
+    if y.ndim != 1:
+        raise DataError(f"dependent variable must be one-dimensional, got shape {y.shape}")
+    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise DataError(
+            f"covariate matrix shape {x.shape} does not match {y.shape[0]} observations"
+        )
+    if y.shape[0] < 1:
+        raise DataError("dataset has no observations")
+    bad = np.nonzero((y != 0) & (y != 1))[0]
     if bad.size:
-        return f"non-binary dependent value at row {int(bad[0]) + 1}"
-    nf = np.argwhere(~np.isfinite(d.x))
+        raise DataError(f"non-binary dependent value at row {int(bad[0]) + 1}")
+    if len(names) != x.shape[1]:
+        raise DataError(f"{len(names)} names for {x.shape[1]} covariate columns")
+    nf = np.argwhere(~np.isfinite(x))
     if nf.size:
         i, j = nf[0]
-        return f"non-finite covariate at row {int(i) + 1}, column {d.names[int(j)]!r}"
-    if len(d.names) != d.m:
-        return f"{len(d.names)} names for {d.m} covariate columns"
-    if len(set(d.names)) != len(d.names):
-        dup = next(s for s in d.names if d.names.count(s) > 1)
-        return f"duplicate variable name {dup!r}"
-    return None
-
-
-def ensure_valid(d: Dataset) -> Dataset:
-    msg = validate(d)
-    if msg is not None:
-        raise DataError(msg)
-    return d
+        raise DataError(f"non-finite covariate at row {int(i) + 1}, column {names[int(j)]!r}")
+    if len(set(names)) != len(names):
+        dup = next(s for s in names if names.count(s) > 1)
+        raise DataError(f"duplicate variable name {dup!r}")
 
 
 @dataclass(frozen=True)
@@ -104,15 +108,16 @@ class ModelSpec:
     included: tuple[int, ...] = ()
 
     def __init__(self, included=()):
-        object.__setattr__(self, "included", tuple(int(j) for j in included))
+        inc = tuple(int(j) for j in included)
+        if len(set(inc)) != len(inc):
+            raise ConfigError(f"duplicate column index in model selection {inc}")
+        object.__setattr__(self, "included", inc)
 
     @property
     def l(self) -> int:
         return len(self.included)
 
     def check_against(self, d: Dataset) -> None:
-        if len(set(self.included)) != len(self.included):
-            raise ConfigError(f"duplicate column index in model selection {self.included}")
         for j in self.included:
             if not 0 <= j < d.m:
                 raise ConfigError(f"column index {j} out of range for {d.m} covariates")

@@ -20,7 +20,7 @@ import numpy as np
 from .datamodel import Dataset, ModelSpec
 from .errors import ConfigError, NumericalError
 from .fitting import DEFAULT_FIT_CONFIG, FitConfig
-from .montecarlo import _Engine, _check_models
+from .montecarlo import _Engine
 from .statistics import StatisticKind, exceeds
 
 MAX_EXACT_N = 20
@@ -57,7 +57,10 @@ def exact_pvalues(
     if not kinds:
         raise ConfigError("at least one statistic is required")
 
-    _check_models(d, tested, full)
+    tested.check_against(d)
+    full.check_against(d)
+    if not set(tested.included) <= set(full.included):
+        raise ConfigError("the tested model must be nested in the full model")
     eng = _Engine(d, tested, full, kinds, cfg, warm=False)
     obs_vals = eng.evaluate(eng.y_obs)[0]
 

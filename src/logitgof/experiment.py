@@ -174,11 +174,9 @@ def build_plan(cfg: ExperimentConfig) -> SimulationPlan:
     cols = [d.column(name) for name in full_names]
     reduced = Dataset(d.y, d.x[:, cols], full_names)
     tested = ModelSpec(tuple(reduced.column(name) for name in cfg.tested_variables))
-    full = ModelSpec(tuple(range(reduced.m)))
     return SimulationPlan(
         dataset=reduced,
         tested=tested,
-        full=full,
         statistics=cfg.statistics,
         num_simulations=cfg.num_simulations,
         master_seed=cfg.master_seed,

@@ -138,52 +138,41 @@ def rowwise_matmul(V, M):
     return np.matmul(V[:, None, :], M[None])[:, 0, :]
 
 
-def chol_factor_batch(A):
-    """Cholesky factors L of a (B,p,p) SPD stack, vectorized over the stack.
+def chol_solve_batch(A, rhs):
+    """Solve A x = rhs for every row of rhs (B,p) by Cholesky factors of A,
+    vectorized over the stack.
 
-    Only the lower triangle of A is read; the upper one may hold anything.
-    Returns (L, bad): bad flags the matrices whose pivot collapses relative
-    to the diagonal (rank deficiency, e.g. a duplicated or constant
-    covariate), which chol_solve_batch hands to the pseudoinverse.
+    A holds one matrix per row of rhs, or a single matrix (a (1,p,p) stack)
+    that every row shares; each row's solution is the same either way. Only
+    the lower triangle of A is read; the upper one may hold anything. A
+    matrix whose pivot collapses relative to its diagonal (rank deficiency,
+    e.g. a duplicated or constant covariate) is solved by the pseudoinverse
+    of its symmetrized lower triangle instead, which zeroes the null-space
+    component instead of aborting. A matrix the pseudoinverse cannot handle
+    either (non-finite entries, as when the products x_i * x_j overflow)
+    raises NumericalError.
     """
-    B, p, _ = A.shape
+    B, p = rhs.shape
     L = np.zeros_like(A)
-    piv = np.empty((B, p))
+    ok = np.ones(A.shape[0], bool)
     add = np.add.reduce
     for j in range(p):
         # column j below the diagonal in one step: entry (i, j) reduces the
         # same j products L[i, k] * L[j, k] as a per-entry loop would
-        piv[:, j] = d = A[:, j, j] - add(L[:, j, :j] ** 2, axis=1)
+        d = A[:, j, j] - add(L[:, j, :j] ** 2, axis=1)
+        ok &= d > A[:, j, j] * 1e-13
         L[:, j, j] = np.sqrt(np.where(d > 0, d, 1.0))
         L[:, j + 1:, j] = (
             A[:, j + 1:, j] - add(L[:, j + 1:, :j] * L[:, j, None, :j], axis=2)
         ) / L[:, j, j, None]
-    bad = ~(piv > np.diagonal(A, axis1=1, axis2=2) * 1e-13).all(axis=1)
-    return L, bad
-
-
-def chol_solve_batch(A, factor, rhs):
-    """Solve A x = rhs for every row of rhs (B,p), given factor =
-    chol_factor_batch(A).
-
-    A holds one matrix per row of rhs, or a single matrix (a (1,p,p) stack)
-    that every row shares; each row's solution is the same either way. Rows
-    whose matrix is flagged bad get the pseudoinverse of its symmetrized
-    lower triangle instead, which zeroes the null-space component instead of
-    aborting. A matrix the pseudoinverse cannot handle either (non-finite
-    entries, as when the products x_i * x_j overflow) raises NumericalError.
-    """
-    L, bad = factor
-    B, p = rhs.shape
-    add = np.add.reduce
     y = np.zeros((B, p))
     for i in range(p):
         y[:, i] = (rhs[:, i] - add(L[:, i, :i] * y[:, :i], axis=1)) / L[:, i, i]
     x = np.zeros((B, p))
     for i in range(p - 1, -1, -1):
         x[:, i] = (y[:, i] - add(L[:, i + 1:, i] * x[:, i + 1:], axis=1)) / L[:, i, i]
-    if bad.any():
-        idx = np.nonzero(np.broadcast_to(bad, (B,)))[0]
+    if not ok.all():
+        idx = np.nonzero(~np.broadcast_to(ok, (B,)))[0]
         low = np.tril(A[idx] if A.shape[0] == B else A)
         sym = low + np.swapaxes(np.tril(low, -1), 1, 2)
         try:
@@ -297,7 +286,7 @@ def _irls(Xd, Y, cfg, deviance_trace, start=None):
     if p > 1:
         cells, mean, deviance = 1.0 - 2.0 * Y, clamped_logistic, percell_deviance
     else:
-        cells, mean, deviance, start = Y, clamped_expit, ydot_deviance, None
+        cells, mean, deviance = Y, clamped_expit, ydot_deviance
 
     # every row starts from the same coefficients, so beta, eta and mu hold
     # one row until the first step (module note 1)
@@ -344,7 +333,7 @@ def _irls(Xd, Y, cfg, deviance_trace, start=None):
         w -= mu
         rhs = rowwise_matmul(w, Xd) + XtY
         rhs[:, 0] = rhs0
-        bnew = chol_solve_batch(A[:m], chol_factor_batch(A[:m]), rhs)
+        bnew = chol_solve_batch(A[:m], rhs)
 
         t = np.ones(na)
         direction = bnew - beta
@@ -393,8 +382,6 @@ def _irls(Xd, Y, cfg, deviance_trace, start=None):
 
 def fit(d: Dataset, spec: ModelSpec, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> FittedModel:
     """Fit the selected model to the dataset's own outcomes."""
-    if d.n < 1:
-        raise DataError("cannot fit a dataset with no observations")
     Xd = design_matrix(d, spec)
     Y = d.y.astype(np.float64)[None, :]
     beta, mu, conv, iters = fit_batch(Xd, Y, cfg)

@@ -38,7 +38,8 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,38 +49,33 @@ from .fitting import DEFAULT_FIT_CONFIG, FitConfig, design_matrix, fit_batch
 from .statistics import StatisticKind, evaluate_batch, exceeds
 
 
-def _check_models(d: Dataset, tested: ModelSpec, full: ModelSpec) -> None:
-    """The rule a Monte-Carlo plan and the exact oracle share: both
-    selections fit the dataset, and the tested one is nested in the full."""
-    tested.check_against(d)
-    full.check_against(d)
-    if not set(tested.included) <= set(full.included):
-        raise ConfigError("the tested model must be nested in the full model")
-
-
 @dataclass(frozen=True)
 class SimulationPlan:
-    """Everything needed to reproduce one Monte-Carlo run exactly."""
+    """Everything needed to reproduce one Monte-Carlo run exactly.
+
+    The full model is every covariate of the dataset, so a dataset holding
+    more columns than the full model is reduced to them first, as
+    `build_plan` does. Every plan fits with the default FitConfig.
+    """
 
     dataset: Dataset
     tested: ModelSpec
-    full: ModelSpec
     statistics: tuple[StatisticKind, ...]
     num_simulations: int
     master_seed: int
-    fit_config: FitConfig = DEFAULT_FIT_CONFIG
+    full: ModelSpec = field(init=False)
+    fit_config: ClassVar[FitConfig] = DEFAULT_FIT_CONFIG
 
     def __post_init__(self):
         object.__setattr__(self, "statistics", tuple(self.statistics))
+        object.__setattr__(self, "full", ModelSpec(range(self.dataset.m)))
         if not self.statistics:
             raise ConfigError("a simulation plan needs at least one statistic")
         if self.num_simulations < 1:
             raise ConfigError("num_simulations must be at least 1")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in 64 unsigned bits")
-        _check_models(self.dataset, self.tested, self.full)
-        if set(self.full.included) != set(range(self.dataset.m)):
-            raise ConfigError("the full model must use every covariate in the dataset")
+        self.tested.check_against(self.dataset)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import GroupingScheme, Ordering, OrderingPolicy, default_grouping
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 _PLAIN_FAMILIES = ("half-abs-sum", "deviance", "freeman-tukey", "pearson-chi2", "euclidean")
 _ORDERED_FAMILIES = ("ks", "kuiper")
@@ -411,8 +411,16 @@ def _row(a):
     return np.asarray(a, dtype=np.float64)[None, :]
 
 
+def _check_lengths(**lengths):
+    """Raise DataError naming every length unless they all agree."""
+    if len(set(lengths.values())) > 1:
+        raise DataError("lengths differ: " + ", ".join(f"{k} {v}" for k, v in lengths.items()))
+
+
 def _scan_one(r, ordering: Ordering):
-    return _scan_extremes(np.asarray(r, dtype=np.float64)[ordering.sigma][:, None])
+    r = np.asarray(r, dtype=np.float64)
+    _check_lengths(residuals=len(r), ordering=len(ordering.sigma))
+    return _scan_extremes(r[ordering.sigma][:, None])
 
 
 def ks_statistic(r, ordering: Ordering) -> float:
@@ -433,6 +441,7 @@ def half_abs_sum(r) -> float:
 
 
 def _cell_value(family, y, mu):
+    _check_lengths(y=len(y), mu=len(mu))
     return float(_cell_statistic(family, _row(y) == 1.0, _row(mu))[0])
 
 
@@ -459,6 +468,7 @@ def euclidean_sq(y, mu) -> float:
 def hosmer_lemeshow(y, mu_for_value, mu_for_grouping, grouping: GroupingScheme) -> float:
     """Grouped calibration statistic; see _hl_batch for the block rule."""
     y = np.asarray(y, dtype=np.float64)
+    _check_lengths(y=len(y), mu_for_value=len(mu_for_value), mu_for_grouping=len(mu_for_grouping))
     if grouping.n != y.shape[0]:
         raise ConfigError(
             f"grouping covers {grouping.n} observations but y has {y.shape[0]}"

@@ -121,7 +121,6 @@ def finney_l2_estimates():
     plan = SimulationPlan(
         dataset=finney(),
         tested=ModelSpec((0, 1)),
-        full=ModelSpec((0, 1)),
         statistics=kinds,
         num_simulations=REFERENCE_SIMS,
         master_seed=SEED,
@@ -135,7 +134,6 @@ def finney_l0_estimates():
     plan = SimulationPlan(
         dataset=finney(),
         tested=ModelSpec(()),
-        full=ModelSpec((0, 1)),
         statistics=kinds,
         num_simulations=REFERENCE_SIMS,
         master_seed=SEED,
@@ -216,7 +214,7 @@ def test_monte_carlo_matches_exact_enumeration_on_small_samples(make_random_data
         full = ModelSpec((0, 1))
         oracle = exact_pvalues(d, tested, full, kinds)
         plan = SimulationPlan(
-            dataset=d, tested=tested, full=full, statistics=kinds,
+            dataset=d, tested=tested, statistics=kinds,
             num_simulations=i, master_seed=500 + idx,
         )
         for e, ex in zip(estimate_pvalues(plan), oracle):
@@ -333,7 +331,7 @@ def test_pvalues_are_uniform_when_the_tested_model_is_true():
         d = Dataset(y_rep.astype(int), x)
         assert fit(d, full).converged, f"replicate {rep}: observed fit did not converge"
         plan = SimulationPlan(
-            dataset=d, tested=full, full=full, statistics=kinds,
+            dataset=d, tested=full, statistics=kinds,
             num_simulations=i, master_seed=9_000_000 + rep,
         )
         ps.append(estimate_pvalues(plan)[0].p_hat)

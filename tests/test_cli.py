@@ -122,6 +122,16 @@ class TestInProcess:
         assert code == 2
         assert b"not 0 or 1" in capsysbinary.readouterr().err
 
+    def test_non_finite_covariate_exits_2(self, tmp_path, capsysbinary):
+        p = tmp_path / "nan.csv"
+        p.write_text("y,a,b\n1,1.0,2.0\n0,nan,inf\n", encoding="utf-8")
+        code = main(["--dataset", str(p), "--dependent", "y",
+                     "--statistics", "deviance", "--num-simulations", "5"])
+        assert code == 2
+        assert capsysbinary.readouterr().err == (
+            b"data error: non-finite covariate at row 2, column 'a'\n"
+        )
+
     def test_worker_count_does_not_change_json_bytes(self, capsysbinary):
         args = TINY + ["--format", "json", "--master-seed", "9"]
         assert main(args + ["--workers", "1"]) == 0

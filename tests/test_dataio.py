@@ -105,6 +105,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="dependent value '2' at row 2 is not 0 or 1"):
             load_csv(p, "y")
 
+    def test_non_finite_cell_names_row_and_column(self, tmp_path):
+        p = tmp_path / "nan.csv"
+        p.write_text("y,a,b\n1,1.0,2.0\n0,nan,inf\n", encoding="utf-8")
+        with pytest.raises(DataError, match="^non-finite covariate at row 2, column 'a'$"):
+            load_csv(p, "y")
+
     def test_float_looking_dependent_is_rejected(self, tmp_path):
         # "1.0" parses as a float but the dependent column is held to the
         # literal tokens, so it must be refused

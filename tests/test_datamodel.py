@@ -12,8 +12,7 @@ from logitgof import (
     Ordering,
     OrderingPolicy,
     default_grouping,
-    ensure_valid,
-    validate,
+    finney,
 )
 
 
@@ -54,29 +53,40 @@ class TestDataset:
 
 class TestValidate:
     def test_valid_dataset_passes(self, finney_dataset):
-        assert validate(finney_dataset) is None
-        assert ensure_valid(finney_dataset) is finney_dataset
+        d = finney_dataset
+        assert Dataset(d.y, d.x, d.names) == finney()
 
     def test_non_binary_dependent_names_first_bad_row(self):
-        d = Dataset([0, 2, 3], [[1.0], [2.0], [3.0]])
-        assert validate(d) == "non-binary dependent value at row 2"
+        with pytest.raises(DataError, match="^non-binary dependent value at row 2$"):
+            Dataset([0, 2, 3], [[1.0], [2.0], [3.0]])
 
     def test_non_finite_covariate_names_row_and_column(self):
-        d = Dataset([0, 1], [[1.0, 2.0], [np.inf, 4.0]], ("a", "b"))
-        msg = validate(d)
-        assert "row 2" in msg and "'a'" in msg
+        with pytest.raises(DataError, match="^non-finite covariate at row 2, column 'a'$"):
+            Dataset([0, 1], [[1.0, 2.0], [np.inf, 4.0]], ("a", "b"))
+        with pytest.raises(DataError, match="^non-finite covariate at row 1, column 'b'$"):
+            Dataset([0, 1], [[1.0, np.nan], [3.0, 4.0]], ("a", "b"))
 
     def test_shape_mismatch(self):
-        d = Dataset([0, 1, 1], [[1.0], [2.0]])
-        assert "does not match" in validate(d)
+        with pytest.raises(DataError, match=r"^covariate matrix shape \(2, 1\) does not match 3"):
+            Dataset([0, 1, 1], [[1.0], [2.0]])
+
+    def test_empty_dataset(self):
+        with pytest.raises(DataError, match="^dataset has no observations$"):
+            Dataset([], np.empty((0, 2)))
+
+    def test_name_count_is_checked_before_cells(self):
+        with pytest.raises(DataError, match="^1 names for 2 covariate columns$"):
+            Dataset([0, 1], [[1.0, np.inf], [3.0, 4.0]], ("a",))
 
     def test_duplicate_names(self):
-        d = Dataset([0], [[1.0, 2.0]], ("a", "a"))
-        assert "duplicate variable name" in validate(d)
+        with pytest.raises(DataError, match="^duplicate variable name 'a'$"):
+            Dataset([0], [[1.0, 2.0]], ("a", "a"))
 
-    def test_ensure_valid_raises_data_error(self):
-        with pytest.raises(DataError, match="non-binary"):
-            ensure_valid(Dataset([5], [[1.0]]))
+    def test_construction_raises_data_error(self):
+        # a fraction is rejected, not truncated to 0 or 1
+        for y in ([5], [0.5]):
+            with pytest.raises(DataError, match="^non-binary dependent value at row 1$"):
+                Dataset(y, [[1.0]])
 
 
 class TestModelSpec:
@@ -90,10 +100,9 @@ class TestModelSpec:
         with pytest.raises(ConfigError, match="out of range"):
             ModelSpec((2,)).check_against(d)
 
-    def test_check_against_rejects_duplicates(self):
-        d = Dataset([0], [[1.0, 2.0]])
-        with pytest.raises(ConfigError, match="duplicate"):
-            ModelSpec((1, 1)).check_against(d)
+    def test_rejects_duplicate_indices(self):
+        with pytest.raises(ConfigError, match="duplicate column index"):
+            ModelSpec((1, 1))
 
 
 class TestOrdering:

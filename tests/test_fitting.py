@@ -602,7 +602,6 @@ class TestPinnedBitsWithCovariates:
         plan = SimulationPlan(
             dataset=Dataset(Y[0].astype(int), X[:, 1:]),
             tested=ModelSpec(tuple(range(9))),
-            full=ModelSpec(tuple(range(11))),
             statistics=parse_statistics(N575_PINS),
             num_simulations=910,
             master_seed=575,
@@ -613,7 +612,6 @@ class TestPinnedBitsWithCovariates:
         plan = SimulationPlan(
             dataset=finney_dataset,
             tested=ModelSpec((0, 1)),
-            full=ModelSpec((0, 1)),
             statistics=parse_statistics(FINNEY_L2_PINS),
             num_simulations=6721,
             master_seed=2013,

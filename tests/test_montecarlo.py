@@ -25,7 +25,6 @@ def small_plan(num_simulations=2000, master_seed=42, labels=("ks:mu-full", "devi
     return SimulationPlan(
         dataset=d,
         tested=tested,
-        full=ModelSpec((0, 1)),
         statistics=parse_statistics(labels),
         num_simulations=num_simulations,
         master_seed=master_seed,
@@ -36,30 +35,6 @@ class TestPlanValidation:
     def test_rejects_empty_statistics(self):
         with pytest.raises(ConfigError, match="at least one"):
             small_plan(labels=())
-
-    def test_rejects_non_nested_models(self):
-        d = finney()
-        with pytest.raises(ConfigError, match="nested"):
-            SimulationPlan(
-                dataset=d,
-                tested=ModelSpec((1,)),
-                full=ModelSpec((0,)),
-                statistics=parse_statistics(["deviance"]),
-                num_simulations=10,
-                master_seed=0,
-            )
-
-    def test_rejects_partial_full_model(self):
-        d = finney()
-        with pytest.raises(ConfigError, match="every covariate"):
-            SimulationPlan(
-                dataset=d,
-                tested=ModelSpec((0,)),
-                full=ModelSpec((0,)),
-                statistics=parse_statistics(["deviance"]),
-                num_simulations=10,
-                master_seed=0,
-            )
 
     def test_rejects_bad_seed_and_budget(self):
         with pytest.raises(ConfigError, match="num_simulations"):
@@ -173,8 +148,7 @@ class TestEngine:
         kinds = parse_statistics(["ks:mu-full", "deviance", "pearson-chi2"])
         i = 3000
         plan = SimulationPlan(
-            dataset=d, tested=tested, full=ModelSpec((0, 1)),
-            statistics=kinds, num_simulations=i, master_seed=502,
+            dataset=d, tested=tested, statistics=kinds, num_simulations=i, master_seed=502,
         )
         eng = _Engine(plan.dataset, plan.tested, plan.full, plan.statistics, plan.fit_config)
         assert not eng.converged and eng.start_tested is None and eng.start_full is None
@@ -207,7 +181,6 @@ class TestEngine:
         plan = SimulationPlan(
             dataset=d,
             tested=ModelSpec((0, 1)),
-            full=ModelSpec((0, 1)),
             statistics=parse_statistics(["ks:mu-full", "ks:mu-tested"]),
             num_simulations=10,
             master_seed=1,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from logitgof import (
     ConfigError,
+    DataError,
     GroupingScheme,
     ModelSpec,
     Ordering,
@@ -165,6 +166,15 @@ class TestPartialSumStatistics:
         # max 0.5, min 0.0
         assert kuiper_statistic(np.array([0.5, -0.5]), _given_order(2)) == 0.5
 
+    def test_kuiper_rejects_a_shorter_ordering(self):
+        # it used to scan only the first three of the five residuals
+        with pytest.raises(DataError, match="residuals 5, ordering 3"):
+            kuiper_statistic(np.full(5, 0.2), make_ordering(OrderingPolicy.GIVEN, n=3))
+
+    def test_ks_rejects_a_longer_ordering(self):
+        with pytest.raises(DataError, match="residuals 5, ordering 7"):
+            ks_statistic(np.full(5, 0.2), make_ordering(OrderingPolicy.GIVEN, n=7))
+
     def test_half_abs_sum_hand_case(self):
         assert half_abs_sum(np.array([0.5, -0.5])) == 0.5
         assert half_abs_sum(np.zeros(4)) == 0.0
@@ -210,6 +220,10 @@ class TestCellStatistics:
         # -2(ln .5 + ln .5) = 4 ln 2
         got = deviance(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
         assert abs(got - 4 * math.log(2)) < 1e-14
+
+    def test_outcome_and_mean_lengths_must_agree(self):
+        with pytest.raises(DataError, match="y 3, mu 2"):
+            deviance([0, 1, 1], [0.5, 0.5])
 
     def test_freeman_tukey_hand_case(self):
         # cells (1-sqrt(.5))^2 and .5 sum to 2-sqrt(2); times 4
@@ -298,6 +312,11 @@ class TestHosmerLemeshow:
     def test_length_mismatch_is_an_error(self):
         with pytest.raises(ConfigError, match="observations"):
             hosmer_lemeshow(np.zeros(4), np.full(4, 0.5), np.full(4, 0.5), GroupingScheme((2,)))
+
+    def test_mean_lengths_must_match_the_outcomes(self):
+        with pytest.raises(DataError, match="y 4, mu_for_value 3, mu_for_grouping 4"):
+            hosmer_lemeshow([0, 1, 1, 0], [0.5, 0.5, 0.5], [0.2, 0.3, 0.4, 0.5],
+                            default_grouping(4, 2))
 
 
 class TestTieMachinery:
