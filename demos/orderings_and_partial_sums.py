@@ -43,7 +43,7 @@ print(f"ks under residual order = {ks_statistic(r, o_res):.6f}")
 # of day, compass bearing):
 values = []
 for shift in range(d.n):
-    rolled = Ordering(np.roll(o_res.sigma, shift), OrderingPolicy.GIVEN)
+    rolled = Ordering(np.roll(o_res.sigma, shift))
     values.append(kuiper_statistic(r, rolled))
 print(f"\nkuiper over all {d.n} rotations: "
       f"min {min(values):.12f}, max {max(values):.12f}")

@@ -18,7 +18,7 @@ from .datamodel import (
 from .datasets import FINNEY_DEPENDENT, finney
 from .dataio import export_csv, inject_uniform_covariates, load_csv
 from .errors import ConfigError, DataError, LogitgofError, NumericalError
-from .exact import MAX_EXACT_N, ExactPValue, exact_pvalue, exact_pvalues
+from .exact import MAX_EXACT_N, ExactPValue, exact_pvalues
 from .experiment import (
     DEFAULT_NUM_SIMULATIONS,
     ExperimentConfig,
@@ -86,7 +86,6 @@ __all__ = [
     "estimate_pvalues",
     "euclidean_sq",
     "evaluate_batch",
-    "exact_pvalue",
     "exact_pvalues",
     "export_csv",
     "finney",

@@ -19,6 +19,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    """values as ints; ConfigError names the first entry that is not an
+    integer. A bool is not one, as in config files."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ConfigError(f"{what} must be integers, got {v!r}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Binary outcomes plus a real covariate matrix with named columns.
@@ -108,7 +118,7 @@ class ModelSpec:
     included: tuple[int, ...] = ()
 
     def __init__(self, included=()):
-        inc = tuple(int(j) for j in included)
+        inc = _ints(included, "column indices")
         if len(set(inc)) != len(inc):
             raise ConfigError(f"duplicate column index in model selection {inc}")
         object.__setattr__(self, "included", inc)
@@ -151,18 +161,19 @@ class OrderingPolicy(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class Ordering:
-    """A permutation of observation indices together with how it was built."""
+    """A permutation of observation indices, given as integers."""
 
     sigma: np.ndarray
-    policy: OrderingPolicy
 
-    def __init__(self, sigma, policy):
-        sig = _frozen(np.asarray(sigma, dtype=np.int64).copy())
+    def __init__(self, sigma):
+        sig = np.asarray(sigma)
+        if not np.issubdtype(sig.dtype, np.integer):
+            raise DataError(f"ordering entries must be integers, got dtype {sig.dtype}")
+        sig = _frozen(sig.astype(np.int64))
         n = sig.shape[0]
         if not np.array_equal(np.sort(sig), np.arange(n)):
             raise DataError("ordering is not a permutation of 0..n-1")
         object.__setattr__(self, "sigma", sig)
-        object.__setattr__(self, "policy", OrderingPolicy(policy))
 
 
 @dataclass(frozen=True)
@@ -172,7 +183,7 @@ class GroupingScheme:
     sizes: tuple[int, ...]
 
     def __init__(self, sizes):
-        sz = tuple(int(s) for s in sizes)
+        sz = _ints(sizes, "group sizes")
         if not sz or any(s < 1 for s in sz):
             raise ConfigError(f"group sizes must all be positive, got {sz}")
         object.__setattr__(self, "sizes", sz)

@@ -57,12 +57,10 @@ def exact_pvalues(
     if not kinds:
         raise ConfigError("at least one statistic is required")
 
-    tested.check_against(d)
-    full.check_against(d)
     if not set(tested.included) <= set(full.included):
         raise ConfigError("the tested model must be nested in the full model")
     eng = _Engine(d, tested, full, kinds, cfg, warm=False)
-    obs_vals = eng.evaluate(eng.y_obs)[0]
+    obs_vals = eng.observed()
 
     # log-space weights survive means clamped to the working range's edge
     log_mu = np.log(eng.mu_gen)
@@ -88,14 +86,3 @@ def exact_pvalues(
             f"outcome weights sum to {weight_sum!r}, expected 1 within 1e-10"
         )
     return [ExactPValue(p_exact=float(v), outcomes_enumerated=total) for v in p]
-
-
-def exact_pvalue(
-    d: Dataset,
-    tested: ModelSpec,
-    full: ModelSpec,
-    stat: StatisticKind,
-    cfg: FitConfig = DEFAULT_FIT_CONFIG,
-) -> ExactPValue:
-    """Exact P-value for a single statistic; see exact_pvalues."""
-    return exact_pvalues(d, tested, full, (stat,), cfg)[0]

@@ -30,15 +30,17 @@ fit stops and why intercept-only fits stop by a rule of their own:
    X'y, the solves and the deviances are per row.
 
 2. Class invariance under an intercept-only design. The intercept entries
-   of X'y, X'WX and the right-hand side are pairwise np.add.reduce sums, not
-   matmul entries. X'y is then an exact integer, X'mu never touches y, and
-   the per-outcome deviance is assembled with a sequential y-contraction,
-   so every outcome vector with the same success count lands on the same
-   fit bit-for-bit. Which classes' statistics tie by rounding (the l = 0
-   Pearson statistic, see README) hangs on these exact values, so the
-   reductions that form them must keep their order. fit_batch relies on
-   this: it runs an intercept-only design once per distinct success count
-   and copies each class's fit to its rows.
+   of X'WX and the right-hand side are pairwise np.add.reduce sums, not
+   matmul entries. X'y's matmul intercept entry is the exact success count
+   in any summation order: its terms are 0.0 and 1.0 and its partial sums
+   integers below 2^53. X'mu never touches y, and the per-outcome deviance
+   is assembled with a sequential y-contraction, so every outcome vector
+   with the same success count lands on the same fit bit-for-bit. Which
+   classes' statistics tie by rounding (the l = 0 Pearson statistic, see
+   README) hangs on these exact values, so the reductions that form them
+   must keep their order. fit_batch relies on this: it runs an
+   intercept-only design once per distinct success count and copies each
+   class's fit to its rows.
    Fits with covariates (p > 1) have no classes to keep and use cheaper
    per-cell forms instead, chosen once per call. Their deviance is
    2 sum_k softplus(s_k eta_k) with s = 1 - 2y, summed as two sums of
@@ -53,12 +55,12 @@ fit stops and why intercept-only fits stop by a rule of their own:
 
 3. Stopping. A fit with covariates (p > 1) finishes after a full step
    (no line-search halving) whose Newton decrement lambda^2 = d'Ad, with d
-   the step and A = X'WX, is below tolerance / 100. lambda^2 / 2 is the
+   the step and A = X'WX, is below TOLERANCE / 100. lambda^2 / 2 is the
    second-order estimate of the log-likelihood that step still gains (Boyd
    & Vandenberghe, Convex Optimization, 9.5.1), and Newton's quadratic
    convergence leaves the fit far inside the tolerance after it.
    Every fit also finishes after three consecutive deviance changes below
-   tolerance, which alone used to stop it about three plateau iterations
+   TOLERANCE, which alone used to stop it about three plateau iterations
    after convergence; this rule also ends fits that never take a full
    step, such as separated ones. Intercept-only fits keep that rule alone:
    their exact bits decide which success classes tie by rounding (note 2),
@@ -80,19 +82,23 @@ from .datamodel import Dataset, FittedModel, ModelSpec
 from .errors import DataError, NumericalError
 
 
+# the stopping tolerance of module note 3, and the clamp that keeps every
+# mean in [MU_CLAMP, 1 - MU_CLAMP]; a fit whose |eta| passes _ETA_CAP there
+# has not converged
+TOLERANCE = 1e-10
+MU_CLAMP = 1e-10
+_ETA_CAP = np.log((1 - MU_CLAMP) / MU_CLAMP)
+
+
 @dataclass(frozen=True)
 class FitConfig:
+    """The IRLS iteration cap; the tolerance and clamp are constants."""
+
     max_iterations: int = 100
-    tolerance: float = 1e-10
-    mu_clamp: float = 1e-10
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if not 0 < self.mu_clamp < 0.5:
-            raise ValueError("mu_clamp must lie strictly between 0 and 0.5")
 
 
 DEFAULT_FIT_CONFIG = FitConfig()
@@ -237,15 +243,13 @@ def _irls(Xd, Y, cfg, deviance_trace, start=None):
     # the Newton decrement d'Ad from the triangle counts off-diagonals twice
     tri_weight = np.where(ii == jj, 1.0, 2.0)
     decrement_stop = p > 1  # see module note 3
-    clamp = cfg.mu_clamp
-    eta_cap = np.log((1 - clamp) / clamp)
     add = np.add.reduce
     work = np.empty((B, n))
 
     def clamped_expit(eta, out=None):
         mu = expit(eta, out=out)
-        np.maximum(mu, clamp, out=mu)
-        return np.minimum(mu, 1 - clamp, out=mu)
+        np.maximum(mu, MU_CLAMP, out=mu)
+        return np.minimum(mu, 1 - MU_CLAMP, out=mu)
 
     def clamped_logistic(eta, out=None):
         # 1 / (1 + e^-eta), expit's own formula, in one fast exponential; an
@@ -255,8 +259,8 @@ def _irls(Xd, Y, cfg, deviance_trace, start=None):
             np.exp(mu, out=mu)
         mu += 1.0
         np.reciprocal(mu, out=mu)
-        np.maximum(mu, clamp, out=mu)
-        return np.minimum(mu, 1 - clamp, out=mu)
+        np.maximum(mu, MU_CLAMP, out=mu)
+        return np.minimum(mu, 1 - MU_CLAMP, out=mu)
 
     # the deviances take one eta row for every row of Y before the first
     # step, when all rows share it, and one eta row per row of Y after it
@@ -282,7 +286,6 @@ def _irls(Xd, Y, cfg, deviance_trace, start=None):
     # and stop on deviance changes alone; fits with covariates iterate on
     # the signs s = 1 - 2y and may start away from zero
     XtY = rowwise_matmul(Y, Xd)
-    XtY[:, 0] = add(Y, axis=1)
     if p > 1:
         cells, mean, deviance = 1.0 - 2.0 * Y, clamped_logistic, percell_deviance
     else:
@@ -359,10 +362,10 @@ def _irls(Xd, Y, cfg, deviance_trace, start=None):
         # declare convergence after a full step whose Newton decrement is
         # tiny, or after three consecutive tiny deviance changes, which rides
         # out the flat plateau where Newton steps stop mattering
-        small = np.where(np.abs(change) < cfg.tolerance, small + 1, 0)
+        small = np.where(np.abs(change) < TOLERANCE, small + 1, 0)
         finish = small >= 3
         if decrement_stop:
-            finish |= (t == 1.0) & (lam2 < cfg.tolerance / 100)
+            finish |= (t == 1.0) & (lam2 < TOLERANCE / 100)
         capped = it == cfg.max_iterations
         if not (capped or finish.any()):
             continue
@@ -372,7 +375,7 @@ def _irls(Xd, Y, cfg, deviance_trace, start=None):
         beta_out[fin] = beta[out]
         mu_out[fin] = mu[out]
         iters[fin] = it
-        conv[fin] = finish[out] & (np.abs(eta[out]).max(axis=1) <= eta_cap)
+        conv[fin] = finish[out] & (np.abs(eta[out]).max(axis=1) <= _ETA_CAP)
         keep = ~finish
         rows, small = rows[keep], small[keep]
         beta, eta, mu, dev = beta[keep], eta[keep], mu[keep], dev[keep]

@@ -158,10 +158,9 @@ class _Engine:
         return evaluate_batch(self.kinds, Y, mu_t, mu_f)
 
     def observed(self):
-        """(StatisticKind, value) pairs for the observed outcomes, refitted
-        as a draw equal to them is."""
-        vals = self.evaluate(self.y_obs)[0]
-        return list(zip(self.kinds, (float(v) for v in vals)))
+        """The (K,) statistic values of the observed outcomes, refitted as a
+        draw equal to them is."""
+        return self.evaluate(self.y_obs)[0]
 
 
 def observed_statistics(plan: SimulationPlan):
@@ -174,7 +173,7 @@ def observed_statistics(plan: SimulationPlan):
     observed outcomes from the simulations' starts (module docstring).
     """
     eng = _Engine(plan.dataset, plan.tested, plan.full, plan.statistics, plan.fit_config)
-    pairs = eng.observed()
+    pairs = list(zip(plan.statistics, (float(v) for v in eng.observed())))
     mu_f, conv = eng.mu_gen, eng.converged
     if not eng.same:
         _, mu, c, _ = fit_batch(eng.Xd_full, eng.y_obs, plan.fit_config)
@@ -200,18 +199,19 @@ def _chunk_size(n: int) -> int:
 def estimate_pvalues(plan: SimulationPlan, workers: int = 1, progress=None):
     """Run the full plan and return a list of PValueEstimate in plan order.
 
-    workers sets the thread count; results are identical for any value
-    because chunk boundaries are fixed by the plan and exceedance counts
-    are integers, so summation order cannot matter. progress, if given, is
-    called as progress(done, total) after each chunk under a lock. Raising
-    from the callback cancels the run; nothing is mutated, so a cancelled
-    run leaves no partial state behind.
+    The chunks run on one thread pool of `workers` threads, one thread
+    included; results are identical for any count because chunk boundaries
+    are fixed by the plan and exceedance counts are integers, so summation
+    order cannot matter. progress, if given, is called as progress(done,
+    total) after each chunk under a lock. Raising from the callback cancels
+    the run: chunks not yet started are cancelled, a chunk already running
+    finishes first, and the exception propagates. Nothing is mutated, so a
+    cancelled run leaves no partial state behind.
     """
     if workers < 1:
         raise ConfigError("workers must be at least 1")
     eng = _Engine(plan.dataset, plan.tested, plan.full, plan.statistics, plan.fit_config)
-    observed = eng.observed()
-    obs_vals = np.array([v for _, v in observed])
+    obs_vals = eng.observed()
 
     i = plan.num_simulations
     chunk = _chunk_size(plan.dataset.n)
@@ -231,18 +231,15 @@ def estimate_pvalues(plan: SimulationPlan, workers: int = 1, progress=None):
                 progress(done_sims, i)
         return counts
 
-    if workers == 1:
-        totals = sum(run_span(s) for s in spans)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = sum(pool.map(run_span, spans))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        totals = sum(pool.map(run_span, spans))
 
     return [
         PValueEstimate(
             statistic=kind,
-            observed_value=val,
+            observed_value=float(val),
             exceed_count=int(c),
             num_simulations=i,
         )
-        for (kind, val), c in zip(observed, totals)
+        for kind, val, c in zip(plan.statistics, obs_vals, totals)
     ]

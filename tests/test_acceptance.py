@@ -263,7 +263,7 @@ def test_kuiper_survives_rotations_and_meets_ks_on_the_residual_order(make_rando
         ku = kuiper_statistic(r, base)
         assert abs(ku - ks) <= 1e-12
         for shift in range(1, d.n):
-            rolled = Ordering(np.roll(base.sigma, shift), OrderingPolicy.GIVEN)
+            rolled = Ordering(np.roll(base.sigma, shift))
             assert abs(kuiper_statistic(r, rolled) - ku) <= 1e-12
         checked += 1
 

@@ -104,15 +104,31 @@ class TestModelSpec:
         with pytest.raises(ConfigError, match="duplicate column index"):
             ModelSpec((1, 1))
 
+    # int() would truncate 1.5, parse "1" and take True as 1
+    @pytest.mark.parametrize("index", [1.5, "1", True, np.bool_(True)],
+                             ids=["fraction", "string", "bool", "numpy-bool"])
+    def test_rejects_an_index_that_is_not_an_integer(self, index):
+        assert ModelSpec((np.int64(1), np.uint8(0))).included == (1, 0)
+        with pytest.raises(ConfigError, match="^column indices must be integers"):
+            ModelSpec((index,))
+
 
 class TestOrdering:
     def test_accepts_permutation(self):
-        o = Ordering([2, 0, 1], OrderingPolicy.GIVEN)
+        o = Ordering([2, 0, 1])
         assert o.sigma.tolist() == [2, 0, 1]
 
     def test_rejects_non_permutation(self):
         with pytest.raises(DataError, match="not a permutation"):
-            Ordering([0, 0, 2], OrderingPolicy.GIVEN)
+            Ordering([0, 0, 2])
+
+    # an int64 cast would take [0.0, 1.9, 2.2] as [0, 1, 2] and [True, False]
+    # as [1, 0]
+    @pytest.mark.parametrize("sigma", [[0.0, 1.9, 2.2], [True, False]], ids=["fractions", "bools"])
+    def test_rejects_entries_that_are_not_integers(self, sigma):
+        assert Ordering(np.array([1, 0], np.uint8)).sigma.tolist() == [1, 0]
+        with pytest.raises(DataError, match="^ordering entries must be integers"):
+            Ordering(sigma)
 
     def test_policy_values_are_the_label_tokens(self):
         assert {p.value for p in OrderingPolicy} == {
@@ -126,6 +142,14 @@ class TestGrouping:
             GroupingScheme((3, 0))
         with pytest.raises(ConfigError, match="positive"):
             GroupingScheme(())
+
+    # int() would truncate 2.5 to 2
+    @pytest.mark.parametrize("sizes", [(2.5, 1), ("2", 1), (True, 1)],
+                             ids=["fraction", "string", "bool"])
+    def test_sizes_must_be_integers(self, sizes):
+        assert GroupingScheme((np.int32(2), 1)).sizes == (2, 1)
+        with pytest.raises(ConfigError, match="^group sizes must be integers"):
+            GroupingScheme(sizes)
 
     def test_counts_and_starts(self):
         s = GroupingScheme((4, 4, 2))

@@ -9,7 +9,6 @@ from logitgof import (
     ConfigError,
     Dataset,
     ModelSpec,
-    exact_pvalue,
     exact_pvalues,
     parse_statistics,
 )
@@ -36,7 +35,7 @@ class TestHandEnumeration:
             3*(1/3)(2/3)^2 + 3*(1/3)^2(2/3) = 12/27 + 6/27 = 2/3.
         """
         d = intercept_only_dataset([1, 0, 0])
-        res = exact_pvalue(d, ModelSpec(), ModelSpec(), DEVIANCE)
+        res = exact_pvalues(d, ModelSpec(), ModelSpec(), (DEVIANCE,))[0]
         assert res.outcomes_enumerated == 8
         assert res.p_exact == pytest.approx(2 / 3, abs=1e-12)
 
@@ -44,7 +43,7 @@ class TestHandEnumeration:
         # limitwise this is exactly 1; the mean clamp at 1e-10 shaves the
         # complementary outcome off the exceedance set, hence the tolerance
         d = intercept_only_dataset([1])
-        res = exact_pvalue(d, ModelSpec(), ModelSpec(), EUCLIDEAN)
+        res = exact_pvalues(d, ModelSpec(), ModelSpec(), (EUCLIDEAN,))[0]
         assert res.outcomes_enumerated == 2
         assert res.p_exact == pytest.approx(1.0, abs=1e-9)
 
@@ -61,14 +60,14 @@ class TestRankInvariance:
     def test_monotone_transform_of_statistic_changes_nothing(self, monkeypatch):
         d = self._tiny_dataset()
         tested, full = ModelSpec((0,)), ModelSpec((0, 1))
-        base = exact_pvalue(d, tested, full, EUCLIDEAN).p_exact
+        base = exact_pvalues(d, tested, full, (EUCLIDEAN,))[0].p_exact
 
         original = montecarlo_mod.evaluate_batch
         monkeypatch.setattr(
             montecarlo_mod, "evaluate_batch",
             lambda *a, **kw: 2.0 * original(*a, **kw) + 1.0,
         )
-        transformed = exact_pvalue(d, tested, full, EUCLIDEAN).p_exact
+        transformed = exact_pvalues(d, tested, full, (EUCLIDEAN,))[0].p_exact
         assert transformed == base
 
     def test_constant_statistic_gives_one(self, monkeypatch):
@@ -77,7 +76,7 @@ class TestRankInvariance:
             montecarlo_mod, "evaluate_batch",
             lambda kinds, Y, mu_t, mu_f: np.ones((Y.shape[0], len(kinds))),
         )
-        res = exact_pvalue(d, ModelSpec((0,)), ModelSpec((0, 1)), EUCLIDEAN)
+        res = exact_pvalues(d, ModelSpec((0,)), ModelSpec((0, 1)), (EUCLIDEAN,))[0]
         assert res.p_exact == pytest.approx(1.0, abs=1e-12)
 
 
@@ -107,7 +106,7 @@ class TestEnumerationMechanics:
     def test_enumeration_bound_is_enforced(self):
         d = intercept_only_dataset([0, 1] * 11)
         with pytest.raises(ConfigError, match="capped"):
-            exact_pvalue(d, ModelSpec(), ModelSpec(), DEVIANCE)
+            exact_pvalues(d, ModelSpec(), ModelSpec(), (DEVIANCE,))[0]
 
     def test_requires_at_least_one_statistic(self):
         d = intercept_only_dataset([1, 0])

@@ -190,7 +190,7 @@ class TestPartialSumStatistics:
         target = half_abs_sum(r)
         for _ in range(20):
             sigma = rng.permutation(n)
-            val = ks_statistic(r, Ordering(sigma, OrderingPolicy.GIVEN))
+            val = ks_statistic(r, Ordering(sigma))
             assert val <= target + 1e-12
         ascending = make_ordering(OrderingPolicy.BY_RESIDUAL, residual=r)
         assert abs(ks_statistic(r, ascending) - target) < 1e-12
@@ -204,8 +204,18 @@ class TestPartialSumStatistics:
         v = kuiper_statistic(r, base)
         assert v >= ks_statistic(r, base) - 1e-12
         for shift in (1, n // 2):
-            rotated = Ordering(np.roll(base.sigma, shift), OrderingPolicy.GIVEN)
+            rotated = Ordering(np.roll(base.sigma, shift))
             assert abs(kuiper_statistic(r, rotated) - v) < 1e-12
+
+    def test_leaves_its_inputs_unchanged(self):
+        # the scan overwrites a scratch array of its own, never r or sigma
+        r = np.random.default_rng(3).normal(size=50)
+        ordering = make_ordering(OrderingPolicy.BY_RESIDUAL, residual=r)
+        r_bytes, sigma_bytes = r.tobytes(), ordering.sigma.tobytes()
+        for statistic in (ks_statistic, kuiper_statistic):
+            statistic(r, ordering)
+            assert r.tobytes() == r_bytes
+            assert ordering.sigma.tobytes() == sigma_bytes
 
     def test_stable_ordering_makes_tied_keys_harmless(self):
         r = np.array([0.25, -0.5, 0.25])
@@ -415,6 +425,21 @@ class TestEvaluateBatch:
         assert by_label["hl:5:mu-tested"] == hosmer_lemeshow(
             y, tested.mu, tested.mu, default_grouping(d.n, 5)
         )
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_leaves_its_inputs_unchanged(self, finney_dataset, shared):
+        # the scan overwrites a scratch array of its own, never Y or a mean;
+        # shared passes one array for both means, as tested = full does
+        d = finney_dataset
+        tested = fit(d, ModelSpec((0,)))
+        full = tested if shared else fit(d, ModelSpec((0, 1)))
+        rng = np.random.default_rng(5)
+        Y = (rng.random((70, d.n)) < tested.mu[None, :]).astype(float)
+        mu_t = np.broadcast_to(tested.mu, Y.shape).copy()
+        mu_f = mu_t if shared else np.broadcast_to(full.mu, Y.shape).copy()
+        before = [a.tobytes() for a in (Y, mu_t, mu_f)]
+        evaluate_batch(parse_statistics(ALL_LABELS), Y, mu_t, mu_f)
+        assert [a.tobytes() for a in (Y, mu_t, mu_f)] == before
 
     def test_rows_independent_of_batch_size(self, finney_dataset):
         d = finney_dataset
