@@ -12,7 +12,7 @@ import io
 
 import numpy as np
 
-from .datamodel import Dataset
+from .datamodel import Dataset, _int
 from .errors import ConfigError, DataError
 
 
@@ -95,6 +95,7 @@ def inject_uniform_covariates(d: Dataset, count: int, seed: int) -> Dataset:
     by half a step, so neither endpoint can occur. The same seed always
     yields the same columns.
     """
+    count, seed = _int(count, "inject_uniform count"), _int(seed, "inject_seed")
     if count < 1:
         raise ConfigError("inject_uniform count must be at least 1")
     if not 0 <= seed < 1 << 128:

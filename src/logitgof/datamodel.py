@@ -19,14 +19,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _int(v, what: str, must_be: str = "an integer") -> int:
+    """v as an int; ConfigError, saying what must be, unless v is an
+    integer. A NumPy integer is one; a bool is not, as in config files."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ConfigError(f"{what} must be {must_be}, got {v!r}")
+    return int(v)
+
+
 def _ints(values, what: str) -> tuple[int, ...]:
-    """values as ints; ConfigError names the first entry that is not an
-    integer. A bool is not one, as in config files."""
-    values = tuple(values)
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ConfigError(f"{what} must be integers, got {v!r}")
-    return tuple(int(v) for v in values)
+    """values as ints by the rule of _int; the error names the first entry
+    that is not an integer."""
+    return tuple(_int(v, what, "integers") for v in values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,6 +207,7 @@ class GroupingScheme:
 def default_grouping(n: int, g: int) -> GroupingScheme:
     """g groups over n observations: the first g-1 of size ceil(n/g), the
     last takes the remainder. Errors when the remainder would be empty."""
+    n, g = _int(n, "the observation count"), _int(g, "the group count")
     if g < 1 or g > n:
         raise ConfigError(f"cannot split {n} observations into {g} groups")
     head = math.ceil(n / g)

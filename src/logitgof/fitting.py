@@ -78,8 +78,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .datamodel import Dataset, FittedModel, ModelSpec
-from .errors import DataError, NumericalError
+from .datamodel import Dataset, FittedModel, ModelSpec, _int
+from .errors import ConfigError, DataError, NumericalError
 
 
 # the stopping tolerance of module note 3, and the clamp that keeps every
@@ -97,8 +97,9 @@ class FitConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iterations", _int(self.max_iterations, "max_iterations"))
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            raise ConfigError("max_iterations must be at least 1")
 
 
 DEFAULT_FIT_CONFIG = FitConfig()

@@ -43,7 +43,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .datamodel import Dataset, ModelSpec
+from .datamodel import Dataset, ModelSpec, _int
 from .errors import ConfigError
 from .fitting import DEFAULT_FIT_CONFIG, FitConfig, design_matrix, fit_batch
 from .statistics import StatisticKind, evaluate_batch, exceeds
@@ -69,6 +69,8 @@ class SimulationPlan:
     def __post_init__(self):
         object.__setattr__(self, "statistics", tuple(self.statistics))
         object.__setattr__(self, "full", ModelSpec(range(self.dataset.m)))
+        for name in ("num_simulations", "master_seed"):
+            object.__setattr__(self, name, _int(getattr(self, name), name))
         if not self.statistics:
             raise ConfigError("a simulation plan needs at least one statistic")
         if self.num_simulations < 1:

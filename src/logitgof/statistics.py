@@ -54,97 +54,92 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import GroupingScheme, Ordering, OrderingPolicy, default_grouping
+from .datamodel import GroupingScheme, Ordering, OrderingPolicy, _int, default_grouping
 from .errors import ConfigError, DataError
 
-_PLAIN_FAMILIES = ("half-abs-sum", "deviance", "freeman-tukey", "pearson-chi2", "euclidean")
-_ORDERED_FAMILIES = ("ks", "kuiper")
-_HL_KEYS = (OrderingPolicy.BY_FULL_MU, OrderingPolicy.BY_TESTED_MU)
+# The statistic vocabulary, one entry per family: the orderings it accepts.
+# KS and Kuiper read running sums, so any order of the residuals is
+# meaningful; HL cuts a mean vector's order into groups, so it takes only the
+# two mean orderings; a per-cell family reads no order (None). The
+# constructor checks every kind against this table and parse takes its
+# grammar from it, so a family or an ordering is added or restricted in one
+# place, and no ordering a family cannot read reaches evaluate_batch.
+_ORDERINGS = {
+    "ks": tuple(OrderingPolicy),
+    "kuiper": tuple(OrderingPolicy),
+    "hl": (OrderingPolicy.BY_FULL_MU, OrderingPolicy.BY_TESTED_MU),
+    **dict.fromkeys(
+        ("half-abs-sum", "deviance", "freeman-tukey", "pearson-chi2", "euclidean"), (None,)
+    ),
+}
+
+
+def _ordering_text(policy) -> str:
+    """An ordering as its label text, for messages; any other value as its repr."""
+    return policy.value if isinstance(policy, OrderingPolicy) else repr(policy)
 
 
 @dataclass(frozen=True)
 class StatisticKind:
-    """One requested statistic, together with its ordering or grouping source.
+    """One requested statistic: its family, ordering and group count.
 
-    family is the statistic name. ks and kuiper carry an ordering policy;
-    hl carries a group count plus the mean vector that drives the grouping
-    (the scored cells always come from the tested model's means). The other
-    families carry nothing extra.
+    ks and kuiper take the ordering their running sums read. hl takes an
+    integer group count of at least 2 and the ordering of the mean vector
+    that is cut into groups, mu-full or mu-tested (the scored cells always
+    come from the tested model's means). The other families take neither.
+    An ordering is an OrderingPolicy member; construction raises
+    ConfigError for any other value, or for a combination the family does
+    not accept.
     """
 
     family: str
     ordering: OrderingPolicy | None = None
     groups: int | None = None
-    grouping_key: OrderingPolicy | None = None
 
     def __post_init__(self):
-        if self.family in _ORDERED_FAMILIES:
-            if self.ordering is None:
-                raise ConfigError(f"statistic '{self.family}' needs an ordering")
-            if self.groups is not None or self.grouping_key is not None:
-                raise ConfigError(f"statistic '{self.family}' does not take groups")
-        elif self.family == "hl":
-            if self.ordering is not None:
-                raise ConfigError("statistic 'hl' takes a grouping key, not an ordering")
-            if self.groups is None or self.groups < 2:
-                raise ConfigError("statistic 'hl' needs at least 2 groups")
-            if self.grouping_key not in _HL_KEYS:
-                raise ConfigError(
-                    "statistic 'hl' groups by 'mu-full' or 'mu-tested' means"
-                )
-        elif self.family in _PLAIN_FAMILIES:
-            if self.ordering is not None or self.groups is not None or self.grouping_key is not None:
-                raise ConfigError(f"statistic '{self.family}' takes no qualifiers")
-        else:
+        accepted = _ORDERINGS.get(self.family)
+        if accepted is None:
             raise ConfigError(f"unknown statistic family '{self.family}'")
+        if self.ordering not in accepted:
+            raise ConfigError(
+                f"statistic '{self.family}' takes ordering "
+                f"{' or '.join(map(_ordering_text, accepted))}, got {_ordering_text(self.ordering)}"
+            )
+        if self.family == "hl":
+            if _int(self.groups, "the group count of statistic 'hl'") < 2:
+                raise ConfigError("statistic 'hl' needs at least 2 groups")
+        elif self.groups is not None:
+            raise ConfigError(f"statistic '{self.family}' takes no group count")
 
     @property
     def label(self) -> str:
-        if self.family in _ORDERED_FAMILIES:
-            return f"{self.family}:{self.ordering.value}"
-        if self.family == "hl":
-            return f"hl:{self.groups}:{self.grouping_key.value}"
-        return self.family
+        parts = (self.family, self.groups, self.ordering and self.ordering.value)
+        return ":".join(str(p) for p in parts if p is not None)
 
     @classmethod
     def parse(cls, label: str) -> "StatisticKind":
         """Parse a statistic label like 'ks:mu-full' or 'hl:5:mu-tested'.
 
-        The grammar: plain families are bare names; ks and kuiper append
-        ':<ordering>' where the ordering is one of mu-full, mu-tested,
-        residual or given; hl appends ':<groups>:<key>' where the key is
-        mu-full or mu-tested.
+        The grammar: a family name, then ':<groups>' for hl, then
+        ':<ordering>' for a family that takes an ordering. The group count
+        is written in decimal digits, and the ordering is the value of an
+        OrderingPolicy: mu-full, mu-tested, residual or given. Only the
+        grammar is read here; the constructor decides which orderings and
+        group counts a family accepts.
         """
-        parts = label.strip().split(":")
-        family = parts[0]
-        if family in _PLAIN_FAMILIES:
-            if len(parts) != 1:
-                raise ConfigError(f"statistic '{family}' takes no qualifiers: '{label}'")
-            return cls(family)
-        if family in _ORDERED_FAMILIES:
-            if len(parts) != 2:
-                raise ConfigError(
-                    f"expected '{family}:<ordering>' with ordering one of "
-                    f"{', '.join(p.value for p in OrderingPolicy)}: got '{label}'"
-                )
-            try:
-                policy = OrderingPolicy(parts[1])
-            except ValueError:
-                raise ConfigError(f"unknown ordering '{parts[1]}' in '{label}'") from None
-            return cls(family, ordering=policy)
-        if family == "hl":
-            if len(parts) != 3:
-                raise ConfigError(f"expected 'hl:<groups>:<key>': got '{label}'")
-            try:
-                g = int(parts[1])
-            except ValueError:
-                raise ConfigError(f"group count '{parts[1]}' is not an integer in '{label}'") from None
-            try:
-                key = OrderingPolicy(parts[2])
-            except ValueError:
-                raise ConfigError(f"unknown grouping key '{parts[2]}' in '{label}'") from None
-            return cls(family, groups=g, grouping_key=key)
-        raise ConfigError(f"unknown statistic '{label}'")
+        family, *rest = label.strip().split(":")
+        accepted = _ORDERINGS.get(family)
+        if accepted is None:
+            raise ConfigError(f"unknown statistic '{label}'")
+        form = ("<groups>",) * (family == "hl") + ("<ordering>",) * (accepted != (None,))
+        if len(rest) != len(form):
+            raise ConfigError(f"expected '{':'.join((family, *form))}': got '{label}'")
+        if family == "hl" and not rest[0].isdecimal():
+            raise ConfigError(f"group count '{rest[0]}' is not an integer in '{label}'")
+        if rest and rest[-1] not in {p.value for p in OrderingPolicy}:
+            raise ConfigError(f"unknown ordering '{rest[-1]}' in '{label}'")
+        groups = int(rest[0]) if family == "hl" else None
+        return cls(family, OrderingPolicy(rest[-1]) if rest else None, groups)
 
 
 def parse_statistics(labels) -> tuple[StatisticKind, ...]:
@@ -171,6 +166,8 @@ def make_ordering(
     GIVEN means the order the observations arrived in, so it only needs n.
     The other policies need their key vector and complain if it is missing.
     """
+    if not isinstance(policy, OrderingPolicy):
+        raise ConfigError(f"an ordering policy is an OrderingPolicy member, got {policy!r}")
     if policy is OrderingPolicy.GIVEN:
         if n is None:
             raise ConfigError("ordering 'given' needs the number of observations")
@@ -363,17 +360,20 @@ def evaluate_batch(kinds, Y, mu_tested, mu_full) -> np.ndarray:
             return OrderingPolicy.BY_TESTED_MU
         return policy
 
+    # ks and kuiper scan their ordering, hl groups along its ordering, and
+    # the kinds without an ordering are per-cell
+    scanned = [k.ordering is not None and k.family != "hl" for k in kinds]
     # the first column of each scanned ordering's block in the stacked array
     lanes = {}
-    for k in kinds:
-        if k.family in _ORDERED_FAMILIES:
+    for k, scan in zip(kinds, scanned):
+        if scan:
             lanes.setdefault(source(k.ordering), len(lanes) * B)
-    grouped = [source(k.grouping_key) for k in kinds if k.family == "hl"]
+    grouped = [source(k.ordering) for k in kinds if k.family == "hl"]
     R = np.empty((n, len(lanes) * B)) if lanes else None
     for policy in dict.fromkeys([*lanes, *grouped]):
         ys, ms = _ordered_view(policy, ones8, mu, mu_full)
         for col, kind in enumerate(kinds):
-            if kind.family == "hl" and source(kind.grouping_key) is policy:
+            if kind.family == "hl" and source(kind.ordering) is policy:
                 out[:, col] = _hl_batch(ys, ms, default_grouping(n, kind.groups))
         if policy in lanes:
             lane = lanes[policy]
@@ -383,12 +383,12 @@ def evaluate_batch(kinds, Y, mu_tested, mu_full) -> np.ndarray:
         hi, lo = _scan_extremes(R)
         del R  # before the per-cell statistics' temporaries
         for col, kind in enumerate(kinds):
-            if kind.family in _ORDERED_FAMILIES:
+            if scanned[col]:
                 lane = lanes[source(kind.ordering)]
                 out[:, col] = _ordered_value(kind.family, hi[lane:lane + B], lo[lane:lane + B])
 
     for col, kind in enumerate(kinds):
-        if kind.family in _PLAIN_FAMILIES:
+        if kind.ordering is None:
             out[:, col] = _cell_statistic(kind.family, ones, mu)
     return out
 
@@ -409,9 +409,12 @@ def _row(a):
 
 
 def _check_lengths(**lengths):
-    """Raise DataError naming every length unless they all agree."""
+    """Raise DataError naming every length unless they all agree, and
+    DataError when they are all 0."""
     if len(set(lengths.values())) > 1:
         raise DataError("lengths differ: " + ", ".join(f"{k} {v}" for k, v in lengths.items()))
+    if 0 in lengths.values():
+        raise DataError("no observations")
 
 
 def _scan_one(r, ordering: Ordering):
@@ -433,6 +436,7 @@ def kuiper_statistic(r, ordering: Ordering) -> float:
 def half_abs_sum(r) -> float:
     """Half the sum of absolute residuals, the KS value maximized over orderings."""
     r = np.asarray(r, dtype=np.float64)
+    _check_lengths(residuals=len(r))
     cells = np.sort(np.abs(r))
     return float(0.5 * np.sum(cells))
 

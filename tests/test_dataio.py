@@ -151,6 +151,16 @@ class TestInjectUniform:
         with pytest.raises(ConfigError, match="at least 1"):
             inject_uniform_covariates(awkward_dataset(), 0, seed=1)
 
+    # a fractional or boolean seed used to give seed 1's columns
+    @pytest.mark.parametrize(
+        "count, seed, name",
+        [(1, 1.5, "inject_seed"), (1, True, "inject_seed"),
+         (1.5, 1, "inject_uniform count"), (True, 1, "inject_uniform count")],
+    )
+    def test_count_and_seed_must_be_integers(self, count, seed, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            inject_uniform_covariates(awkward_dataset(), count, seed)
+
     @pytest.mark.parametrize("seed", [-3, 2**128])
     def test_seed_outside_the_philox_key_range(self, seed):
         with pytest.raises(ConfigError, match=r"inject_seed must lie in \[0, 2\*\*128\)"):

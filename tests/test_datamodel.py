@@ -171,6 +171,13 @@ class TestGrouping:
         with pytest.raises(ConfigError):
             default_grouping(10, 6)
 
+    # 2.5 groups used to raise TypeError, and True made one group
+    @pytest.mark.parametrize("n, g", [(39, 2.5), (39, True), (39.0, 5)],
+                             ids=["fractional-groups", "bool-groups", "float-n"])
+    def test_default_grouping_counts_must_be_integers(self, n, g):
+        with pytest.raises(ConfigError, match="count must be an integer"):
+            default_grouping(n, g)
+
     @given(st.integers(2, 400), st.integers(1, 12))
     def test_default_grouping_partitions_n(self, n, g):
         if g > n:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from logitgof import (
+    ConfigError,
     DataError,
     Dataset,
     FitConfig,
@@ -620,8 +621,15 @@ class TestPinnedBitsWithCovariates:
 
 class TestFitConfig:
     def test_rejects_nonsense(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FitConfig(max_iterations=0)
+
+    # True used to cap the fit at one iteration, and 2.5 failed inside _irls
+    @pytest.mark.parametrize("cap", [True, 2.5], ids=["bool", "fraction"])
+    def test_iteration_cap_must_be_an_integer(self, cap):
+        assert type(FitConfig(max_iterations=np.int64(5)).max_iterations) is int
+        with pytest.raises(ConfigError, match="^max_iterations must be an integer"):
+            FitConfig(max_iterations=cap)
 
     def test_iteration_cap_is_respected(self):
         x = np.linspace(-2, 2, 12)[:, None]

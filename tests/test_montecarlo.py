@@ -44,6 +44,17 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match="64"):
             small_plan(master_seed=1 << 64)
 
+    # each used to run: a fractional or boolean seed as seed 1, True as one
+    # simulation, 2.5 up to a TypeError inside estimate_pvalues
+    @pytest.mark.parametrize(
+        "name, value",
+        [("master_seed", 1.5), ("master_seed", True), ("num_simulations", True),
+         ("num_simulations", 2.5)],
+    )
+    def test_rejects_a_seed_or_count_that_is_not_an_integer(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            small_plan(**{name: value})
+
 
 class TestDrawOutcomes:
     def test_deterministic_per_seed(self):

@@ -58,7 +58,7 @@ class TestLabelGrammar:
         key=st.sampled_from([OrderingPolicy.BY_FULL_MU, OrderingPolicy.BY_TESTED_MU]),
     )
     def test_grouped_round_trip(self, groups, key):
-        kind = StatisticKind("hl", groups=groups, grouping_key=key)
+        kind = StatisticKind("hl", groups=groups, ordering=key)
         assert StatisticKind.parse(kind.label) == kind
 
     @pytest.mark.parametrize(
@@ -78,6 +78,34 @@ class TestLabelGrammar:
     def test_rejects_malformed_labels(self, bad):
         with pytest.raises(ConfigError):
             StatisticKind.parse(bad)
+
+    # an ordering given as its label text used to be taken as the residual
+    # ordering, because only None counted as missing
+    @pytest.mark.parametrize("family, text", [("ks", "mu-full"), ("kuiper", "given")])
+    def test_rejects_an_ordering_that_is_not_a_policy(self, family, text):
+        with pytest.raises(ConfigError, match=f"got '{text}'$"):
+            StatisticKind(family, ordering=text)
+
+    @pytest.mark.parametrize(
+        "family, policy, groups, accepted",
+        [
+            ("hl", OrderingPolicy.BY_RESIDUAL, 5, "mu-full or mu-tested"),
+            ("hl", OrderingPolicy.GIVEN, 5, "mu-full or mu-tested"),
+            ("ks", None, None, "mu-full or mu-tested or residual or given"),
+            ("deviance", OrderingPolicy.GIVEN, None, "None"),
+        ],
+        ids=["hl-residual", "hl-given", "ks-none", "deviance-given"],
+    )
+    def test_names_orderings_by_their_label_text(self, family, policy, groups, accepted):
+        got = "None" if policy is None else policy.value
+        with pytest.raises(ConfigError, match=f"takes ordering {accepted}, got {got}$"):
+            StatisticKind(family, ordering=policy, groups=groups)
+
+    # 2.5 used to be accepted and to fail in default_grouping during the run
+    @pytest.mark.parametrize("groups", [2.5, "5"], ids=["fraction", "string"])
+    def test_hl_group_count_must_be_an_integer(self, groups):
+        with pytest.raises(ConfigError, match="group count of statistic 'hl' must be an integer"):
+            StatisticKind("hl", ordering=OrderingPolicy.BY_FULL_MU, groups=groups)
 
     def test_parse_statistics_rejects_duplicates_and_empty(self):
         with pytest.raises(ConfigError, match="twice"):
@@ -102,6 +130,11 @@ class TestMakeOrdering:
     def test_given_is_arrival_order(self):
         o = make_ordering(OrderingPolicy.GIVEN, n=4)
         assert o.sigma.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("text", ["mu-full", "given"])
+    def test_policy_must_be_an_ordering_policy(self, text):
+        with pytest.raises(ConfigError, match="OrderingPolicy"):
+            make_ordering(text, mu_full=np.array([0.3, 0.1]), n=2)
 
     def test_missing_key_is_an_error(self):
         with pytest.raises(ConfigError, match="key vector"):
@@ -223,6 +256,31 @@ class TestPartialSumStatistics:
         a = ks_statistic(r, make_ordering(OrderingPolicy.BY_TESTED_MU, mu_tested=key))
         b = ks_statistic(r, _given_order(3))
         assert a == b
+
+
+_EMPTY = np.array([], dtype=np.float64)
+_EMPTY_ORDER = Ordering(np.array([], dtype=np.int64))
+
+
+# ks and kuiper used to fail inside numpy's max, and the others returned 0.0
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ks_statistic(_EMPTY, _EMPTY_ORDER),
+        lambda: kuiper_statistic(_EMPTY, _EMPTY_ORDER),
+        lambda: half_abs_sum(_EMPTY),
+        lambda: deviance(_EMPTY, _EMPTY),
+        lambda: freeman_tukey(_EMPTY, _EMPTY),
+        lambda: pearson_chi2(_EMPTY, _EMPTY),
+        lambda: euclidean_sq(_EMPTY, _EMPTY),
+        lambda: hosmer_lemeshow(_EMPTY, _EMPTY, _EMPTY, GroupingScheme((1,))),
+    ],
+    ids=["ks", "kuiper", "half-abs-sum", "deviance", "freeman-tukey", "pearson-chi2",
+         "euclidean", "hl"],
+)
+def test_every_scalar_statistic_rejects_empty_input(call):
+    with pytest.raises(DataError, match="no observations"):
+        call()
 
 
 class TestCellStatistics:
@@ -567,7 +625,7 @@ def ref_evaluate_batch(kinds, Y, mu_tested, mu_full):
             vals = ref_euclidean_batch(Y, mu_tested)
         else:
             sizes = default_grouping(n, kind.groups).sizes
-            vals = ref_hl_batch(Y, mu_tested, order_for(kind.grouping_key), sizes)
+            vals = ref_hl_batch(Y, mu_tested, order_for(kind.ordering), sizes)
         out[:, col] = vals
     return out
 
