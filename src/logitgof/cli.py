@@ -19,13 +19,18 @@ from .experiment import (
     read_config_doc,
     run_experiment,
 )
+from .statistics import _ORDERINGS
 
-_STAT_HELP = (
-    "comma-separated statistic labels. Plain: deviance, freeman-tukey, "
-    "pearson-chi2, euclidean, half-abs-sum. Ordered: ks:<o> and kuiper:<o> "
-    "with <o> one of mu-full, mu-tested, residual, given. Grouped: "
-    "hl:<groups>:mu-full or hl:<groups>:mu-tested."
-)
+def _stat_help() -> str:
+    """The label forms StatisticKind.parse reads, one per family of the
+    statistic table, with the orderings each family accepts."""
+    forms = []
+    for family, accepted in _ORDERINGS.items():
+        form = family + ":<groups>" * (family == "hl")
+        if accepted != (None,):
+            form += f":<o> with <o> one of {', '.join(o.value for o in accepted)}"
+        forms.append(form)
+    return "comma-separated statistic labels: " + "; ".join(forms) + "."
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,7 +63,7 @@ def build_parser() -> _Parser:
                    help="append N pseudo-random uniform covariates u1..uN")
     p.add_argument("--inject-seed", type=int, metavar="SEED",
                    help="seed for the injected covariates")
-    p.add_argument("--statistics", type=_split_list, metavar="LABELS", help=_STAT_HELP)
+    p.add_argument("--statistics", type=_split_list, metavar="LABELS", help=_stat_help())
     p.add_argument("--num-simulations", type=int, metavar="I",
                    help=f"Monte-Carlo sample size (default {DEFAULT_NUM_SIMULATIONS})")
     p.add_argument("--master-seed", type=int, metavar="SEED",

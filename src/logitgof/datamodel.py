@@ -86,6 +86,13 @@ class Dataset:
         )
 
 
+def _check_binary(y: np.ndarray) -> None:
+    """Raise DataError naming the first value of y that is not exactly 0 or 1."""
+    bad = np.nonzero((y != 0) & (y != 1))[0]
+    if bad.size:
+        raise DataError(f"non-binary dependent value at row {int(bad[0]) + 1}")
+
+
 def _check_dataset(y: np.ndarray, x: np.ndarray, names: tuple[str, ...]) -> None:
     """Raise DataError naming the first Dataset invariant that y, x and
     names break. Names are counted before the cells are checked, so that a
@@ -98,9 +105,7 @@ def _check_dataset(y: np.ndarray, x: np.ndarray, names: tuple[str, ...]) -> None
         )
     if y.shape[0] < 1:
         raise DataError("dataset has no observations")
-    bad = np.nonzero((y != 0) & (y != 1))[0]
-    if bad.size:
-        raise DataError(f"non-binary dependent value at row {int(bad[0]) + 1}")
+    _check_binary(y)
     if len(names) != x.shape[1]:
         raise DataError(f"{len(names)} names for {x.shape[1]} covariate columns")
     nf = np.argwhere(~np.isfinite(x))

@@ -50,8 +50,11 @@ fit stops and why intercept-only fits stop by a rule of their own:
    rounding noise. Their means are 1 / (1 + e^-eta), expit's own formula,
    with one fast numpy exponential: 0.9 ms against expit's 2.8 ms, clamp
    included, for a 455 x 575 batch on a 2-vCPU Xeon. Intercept-only fits
-   keep expit, the softplus difference and the contraction, operation for
-   operation.
+   keep the softplus difference and the contraction, operation for
+   operation, and take their means from `_intercept_only_mean`: each eta
+   row holds one value there, so one C-library exp per row (math.exp)
+   gives the bits of scipy's expit, which evaluates the same formula with
+   the same exp. numpy's exp rounds differently and would move the ties.
 
 3. Stopping. A fit with covariates (p > 1) finishes after a full step
    (no line-search halving) whose Newton decrement lambda^2 = d'Ad, with d
@@ -73,10 +76,10 @@ fit stops and why intercept-only fits stop by a rule of their own:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .datamodel import Dataset, FittedModel, ModelSpec, _int
 from .errors import ConfigError, DataError, NumericalError
@@ -139,6 +142,19 @@ def seq_ydot(Y, d, work=None):
     return work[:, -1].copy()
 
 
+def _intercept_only_mean(eta, out=None):
+    """The clamped means 1 / (1 + e^-eta) of an intercept-only design,
+    whose eta rows each hold one value (module note 2), by one math.exp per
+    row. The exponent stops at 709, short of math.exp's overflow; the mean
+    there is below MU_CLAMP either way. out, when given, is an array of
+    eta's shape that receives the result."""
+    col = np.clip([1.0 / (1.0 + math.exp(min(-v, 709.0))) for v in eta[:, 0].tolist()],
+                  MU_CLAMP, 1 - MU_CLAMP)
+    out = np.empty(eta.shape) if out is None else out
+    out[:] = col[:, None]
+    return out
+
+
 def rowwise_matmul(V, M):
     """Row k of the result is V[k] @ M, each row its own product of fixed
     shape (see module notes on batch-size invariance)."""
@@ -193,7 +209,7 @@ def chol_solve_batch(A, rhs):
     return x
 
 
-def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, deviance_trace=None, start=None):
+def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, start=None):
     """Fit one design against B outcome vectors at once.
 
     Xd: (n, p) design whose first column is the all-ones intercept, as
@@ -203,10 +219,8 @@ def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, deviance_trace=None, s
     Returns (beta, mu, converged, iterations) with shapes (B,p), (B,n), (B,),
     (B,). Non-convergence (iteration cap or separation pushing a linear
     predictor past the clamp) is a flag, never an exception: simulated draws
-    must always produce usable means.
-
-    deviance_trace, when a list, receives the (B,) deviance after every
-    accepted step. Used by tests to assert monotonicity.
+    must always produce usable means. A row still iterating at the cap
+    is returned with its iterate from the last iteration.
 
     start: optional (p,) coefficient vector every row's IRLS run starts
     from instead of zero. Intercept-only designs (p == 1) ignore it.
@@ -218,16 +232,12 @@ def fit_batch(Xd, Y, cfg: FitConfig = DEFAULT_FIT_CONFIG, deviance_trace=None, s
     Y = np.asarray(Y, dtype=np.float64)
     Xd = np.ascontiguousarray(Xd, dtype=np.float64)
     if Xd.shape[1] > 1:
-        return _irls(Xd, Y, cfg, deviance_trace, start)
+        return _irls(Xd, Y, cfg, start)
     _, first, inv = np.unique(np.add.reduce(Y, axis=1), return_index=True, return_inverse=True)
-    trace = None if deviance_trace is None else []
-    fits = _irls(Xd, Y[first], cfg, trace)
-    if trace is not None:
-        deviance_trace.extend(snap[inv] for snap in trace)
-    return tuple(a[inv] for a in fits)
+    return tuple(a[inv] for a in _irls(Xd, Y[first], cfg))
 
 
-def _irls(Xd, Y, cfg, deviance_trace, start=None):
+def _irls(Xd, Y, cfg, start=None):
     """The IRLS loop behind fit_batch: every row of Y is fitted on its own
     trajectory, with the arguments and results fit_batch documents.
 
@@ -246,11 +256,6 @@ def _irls(Xd, Y, cfg, deviance_trace, start=None):
     decrement_stop = p > 1  # see module note 3
     add = np.add.reduce
     work = np.empty((B, n))
-
-    def clamped_expit(eta, out=None):
-        mu = expit(eta, out=out)
-        np.maximum(mu, MU_CLAMP, out=mu)
-        return np.minimum(mu, 1 - MU_CLAMP, out=mu)
 
     def clamped_logistic(eta, out=None):
         # 1 / (1 + e^-eta), expit's own formula, in one fast exponential; an
@@ -290,7 +295,7 @@ def _irls(Xd, Y, cfg, deviance_trace, start=None):
     if p > 1:
         cells, mean, deviance = 1.0 - 2.0 * Y, clamped_logistic, percell_deviance
     else:
-        cells, mean, deviance = Y, clamped_expit, ydot_deviance
+        cells, mean, deviance = Y, _intercept_only_mean, ydot_deviance
 
     # every row starts from the same coefficients, so beta, eta and mu hold
     # one row until the first step (module note 1)
@@ -302,11 +307,6 @@ def _irls(Xd, Y, cfg, deviance_trace, start=None):
         eta = np.zeros((1, n))
     mu = mean(eta)
     dev = deviance(cells, eta)
-    if deviance_trace is None:
-        dev_all = None
-    else:
-        dev_all = dev.copy()
-        deviance_trace.append(dev.copy())
 
     beta_out = np.zeros((B, p))
     mu_out = np.zeros((B, n))
@@ -356,9 +356,6 @@ def _irls(Xd, Y, cfg, deviance_trace, start=None):
         change = dev - dev_try
         beta, eta, dev = beta_try, eta_try, dev_try
         mu = mean(eta, out=None if it == 1 else mu)
-        if dev_all is not None:
-            dev_all[rows] = dev
-            deviance_trace.append(dev_all.copy())
 
         # declare convergence after a full step whose Newton decrement is
         # tiny, or after three consecutive tiny deviance changes, which rides

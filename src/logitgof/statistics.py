@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import GroupingScheme, Ordering, OrderingPolicy, _int, default_grouping
+from .datamodel import GroupingScheme, Ordering, OrderingPolicy, _check_binary, _int, default_grouping
 from .errors import ConfigError, DataError
 
 # The statistic vocabulary, one entry per family: the orderings it accepts.
@@ -443,6 +443,8 @@ def half_abs_sum(r) -> float:
 
 def _cell_value(family, y, mu):
     _check_lengths(y=len(y), mu=len(mu))
+    y = np.asarray(y, dtype=np.float64)
+    _check_binary(y)
     return float(_cell_statistic(family, _row(y) == 1.0, _row(mu))[0])
 
 
@@ -470,6 +472,7 @@ def hosmer_lemeshow(y, mu_for_value, mu_for_grouping, grouping: GroupingScheme) 
     """Grouped calibration statistic; see _hl_batch for the block rule."""
     y = np.asarray(y, dtype=np.float64)
     _check_lengths(y=len(y), mu_for_value=len(mu_for_value), mu_for_grouping=len(mu_for_grouping))
+    _check_binary(y)
     if grouping.n != y.shape[0]:
         raise ConfigError(
             f"grouping covers {grouping.n} observations but y has {y.shape[0]}"

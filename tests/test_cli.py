@@ -14,6 +14,7 @@ import pytest
 from logitgof import finney
 from logitgof.cli import build_parser, main
 from logitgof.experiment import _CONFIG_KEYS
+from logitgof.statistics import _ORDERINGS
 
 RUN = [sys.executable, "-m", "logitgof.cli"]
 TINY = ["--dataset", "finney", "--dependent", "response",
@@ -223,3 +224,18 @@ def test_config_keys_and_flags_match_one_to_one():
     for key in _CONFIG_KEYS:
         assert dests.count(key) == 1, key
     assert set(dests) - set(_CONFIG_KEYS) == RUN_FLAG_DESTS
+
+
+def test_help_lists_every_statistic_family_and_ordering(monkeypatch):
+    # the help is read from the statistic table, so a family added there
+    # shows up too; a wide terminal keeps the help on one line
+    monkeypatch.setenv("COLUMNS", "10000")
+    monkeypatch.setitem(_ORDERINGS, "brier", (None,))
+    text = build_parser().format_help()
+    labels = text.split("comma-separated statistic labels: ")[1].split(".\n")[0]
+    listed = {}
+    for clause in labels.split("; "):
+        form, _, orderings = clause.partition(" with <o> one of ")
+        listed[form.split(":")[0]] = set(orderings.split(", ")) - {""}
+    assert listed == {family: {o.value for o in accepted if o}
+                      for family, accepted in _ORDERINGS.items()}

@@ -83,7 +83,7 @@ def ref_chol_solve_batch(A, rhs):
     return x
 
 
-def ref_irls(Xd, Y, cfg, deviance_trace):
+def ref_irls(Xd, Y, cfg):
     B, n = Y.shape
     p = Xd.shape[1]
     XdT = Xd.T.copy()
@@ -96,8 +96,6 @@ def ref_irls(Xd, Y, cfg, deviance_trace):
     eta = np.zeros((B, n))
     mu = np.clip(expit(eta), clamp, 1 - clamp)
     dev = 2.0 * (np.sum(ref_softplus(eta), axis=1) - ref_seq_ydot(Y, eta))
-    if deviance_trace is not None:
-        deviance_trace.append(dev.copy())
 
     small = np.zeros(B, np.int64)
     done = np.zeros(B, bool)
@@ -145,10 +143,6 @@ def ref_irls(Xd, Y, cfg, deviance_trace):
         mu[act] = np.clip(expit(eta_try), clamp, 1 - clamp)
         dev[act] = dev_try
         iters[act] = it
-        if deviance_trace is not None:
-            snap = deviance_trace[-1].copy()
-            snap[act] = dev_try
-            deviance_trace.append(snap)
 
         # declare convergence after three consecutive tiny deviance changes,
         # which rides out the flat plateau where Newton steps stop mattering
@@ -225,12 +219,15 @@ class TestFitProperties:
         assert np.max(np.abs(score)) < 1e-6
 
     def test_deviance_never_increases(self, finney_dataset):
-        trace = []
+        # a fit stopped at the cap k returns its k-th iterate, so the caps
+        # 1, 2, ... walk the iterates; they start from beta = 0
         X = design_matrix(finney_dataset, ModelSpec((0, 1)))
-        Y = finney_dataset.y.astype(float)[None, :]
-        fit_batch(X, Y, deviance_trace=trace)
-        devs = np.concatenate(trace)
+        y = finney_dataset.y.astype(float)
+        betas = [np.zeros(3)] + [fit_batch(X, y[None, :], FitConfig(max_iterations=k))[0][0]
+                                 for k in range(1, 15)]
+        devs = [2.0 * (np.sum(ref_softplus(X @ b)) - y @ (X @ b)) for b in betas]
         assert np.all(np.diff(devs) <= 1e-10)
+        assert devs[1] < devs[0] and devs[-1] < devs[1]
 
     def test_observation_permutation_leaves_coefficients(self, finney_dataset):
         d = finney_dataset
@@ -327,11 +324,12 @@ class TestBatchSemantics:
                 assert np.array_equal(whole[lo:hi], sub)
 
     @pytest.mark.parametrize(
-        "case", ["finney-draws", "max-iterations-1", "max-iterations-3"]
+        "case", ["finney-draws", *(f"max-iterations-{k}" for k in range(1, 13))]
     )
     def test_matches_the_reference_loop_bit_for_bit(self, finney_dataset, case, monkeypatch):
         # intercept-only fits keep the reference loop's stopping rule and
-        # every floating-point operation of it, through the class path
+        # every floating-point operation of it, through the class path; a
+        # cap returns each unfinished row's iterate at that step
         pinv_calls = []
         pinv = np.linalg.pinv
         monkeypatch.setattr(np.linalg, "pinv", lambda a: pinv_calls.append(1) or pinv(a))
@@ -343,16 +341,12 @@ class TestBatchSemantics:
         Y[200] = 1.0
         cfg = DEFAULT_FIT_CONFIG
         if case.startswith("max-iterations"):
-            cfg = FitConfig(max_iterations=int(case[-1]))
+            cfg = FitConfig(max_iterations=int(case.rsplit("-", 1)[1]))
             Y = Y[:500]
-        trace, ref_trace = [], []
-        got = fit_batch(X, Y, cfg, deviance_trace=trace)
-        want = ref_irls(X, Y, cfg, ref_trace)
+        got = fit_batch(X, Y, cfg)
+        want = ref_irls(X, Y, cfg)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.dtype == b.dtype
-            assert np.array_equal(a, b)
-        assert len(trace) == len(ref_trace)
-        for a, b in zip(trace, ref_trace):
             assert np.array_equal(a, b)
         assert not got[2][100] and not got[2][200]
         assert not pinv_calls
@@ -385,7 +379,7 @@ class TestBatchSemantics:
         beta, mu, conv, iters = fit_batch(X, Y, cfg)
         got_pinv = bool(pinv_calls)
         pinv_calls.clear()
-        ref_beta, _, ref_conv, ref_iters = ref_irls(X, Y, cfg, None)
+        ref_beta, _, ref_conv, ref_iters = ref_irls(X, Y, cfg)
         assert bool(pinv_calls) == got_pinv == (case == "duplicated-column")
         assert np.array_equal(conv, ref_conv)
         assert np.array_equal(iters == cfg.max_iterations, ref_iters == cfg.max_iterations)
@@ -436,7 +430,7 @@ class TestBatchSemantics:
         Y = np.zeros((3 * (n + 1), n))
         for row in range(Y.shape[0]):
             Y[row, rng.permutation(n)[: row // 3]] = 1.0
-        beta, mu, conv, iters = _irls(np.ones((n, 1)), Y, DEFAULT_FIT_CONFIG, None)
+        beta, mu, conv, iters = _irls(np.ones((n, 1)), Y, DEFAULT_FIT_CONFIG)
         for s in range(n + 1):
             rows = slice(3 * s, 3 * s + 3)
             assert np.all(mu[rows] == mu[3 * s, 0])
@@ -447,22 +441,20 @@ class TestBatchSemantics:
     def test_class_path_matches_the_per_row_loop(self, finney_dataset):
         # an engine-sized Finney l = 0 chunk, plus the s = 0 and s = n rows
         # that never converge: fitting once per success count and copying
-        # must give every row exactly what its own IRLS run gives
+        # must give every row exactly what its own IRLS run gives, at the
+        # default cap and at every cap that stops rows mid-trajectory
         d = finney_dataset
         X = design_matrix(d, ModelSpec())
         Y = draw_outcomes(12345, 0, 6721, fit(d, ModelSpec()).mu)
         Y[100] = 0.0
         Y[5000] = 1.0
-        trace_cls, trace_rows = [], []
-        got = fit_batch(X, Y, deviance_trace=trace_cls)
-        want = _irls(X, Y, DEFAULT_FIT_CONFIG, trace_rows)
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert np.array_equal(a, b)
-        assert len(trace_cls) == len(trace_rows)
-        for a, b in zip(trace_cls, trace_rows):
-            assert np.array_equal(a, b)
-        assert not got[2][100] and not got[2][5000]
+        for cfg in (DEFAULT_FIT_CONFIG, *(FitConfig(max_iterations=k) for k in range(1, 13))):
+            got = fit_batch(X, Y, cfg)
+            want = _irls(X, Y, cfg)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert np.array_equal(a, b)
+            assert not got[2][100] and not got[2][5000]
 
     def test_complementary_classes_get_complementary_means(self):
         # swapping y with 1 - y mirrors the intercept-only fit; in float the
@@ -535,22 +527,19 @@ class TestStart:
             for whole, sub in zip(got, part):
                 assert np.array_equal(whole[lo:hi], sub)
 
-    @pytest.mark.parametrize("traced", [False, True])
-    def test_intercept_only_fits_ignore_it(self, finney_dataset, traced):
-        # with a deviance trace the per-step deviances must agree too
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_intercept_only_fits_ignore_it(self, finney_dataset, capped):
+        # under every cap the iterates each step returns must agree too
         d = finney_dataset
         X = design_matrix(d, ModelSpec())
         Y = draw_outcomes(12345, 0, 500, fit(d, ModelSpec()).mu)
-        got_trace, want_trace = ([], []) if traced else (None, None)
-        got = fit_batch(X, Y, start=np.array([0.7]), deviance_trace=got_trace)
-        want = fit_batch(X, Y, deviance_trace=want_trace)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-        if traced:
-            assert len(got_trace) == len(want_trace) > 0
-            for a, b in zip(got_trace, want_trace):
+        caps = range(1, 13) if capped else (DEFAULT_FIT_CONFIG.max_iterations,)
+        for k in caps:
+            cfg = FitConfig(max_iterations=k)
+            got = fit_batch(X, Y, cfg, start=np.array([0.7]))
+            want = fit_batch(X, Y, cfg)
+            for a, b in zip(got, want):
                 assert np.array_equal(a, b)
-
 
 
 # End-to-end bits of seeded runs whose refits have covariates: exceedance

@@ -283,6 +283,25 @@ def test_every_scalar_statistic_rejects_empty_input(call):
         call()
 
 
+# each used to read a value that is not 1 as 0, or (hl) to sum it as given:
+# deviance([2, 0], ...) equalled deviance([0, 0], ...)
+@pytest.mark.parametrize(
+    "call, row",
+    [
+        (lambda: deviance([2, 0], [0.5, 0.5]), 1),
+        (lambda: freeman_tukey([0, -1, 1], [0.5, 0.5, 0.5]), 2),
+        (lambda: pearson_chi2([0.5, 1], [0.5, 0.5]), 1),
+        (lambda: euclidean_sq([1, 0, np.nan], [0.5, 0.5, 0.5]), 3),
+        (lambda: hosmer_lemeshow([0, 0, 0, 3], [0.5] * 4, [0.1, 0.2, 0.3, 0.4],
+                                 default_grouping(4, 2)), 4),
+    ],
+    ids=["deviance", "freeman-tukey", "pearson-chi2", "euclidean", "hl"],
+)
+def test_every_scalar_statistic_rejects_non_binary_outcomes(call, row):
+    with pytest.raises(DataError, match=f"^non-binary dependent value at row {row}$"):
+        call()
+
+
 class TestCellStatistics:
     def test_deviance_hand_case(self):
         # -2(ln .5 + ln .5) = 4 ln 2
