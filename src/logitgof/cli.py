@@ -13,6 +13,7 @@ import sys
 from .errors import ConfigError, DataError, NumericalError
 from .experiment import (
     _CONFIG_KEYS,
+    _EMITTERS,
     DEFAULT_NUM_SIMULATIONS,
     ExperimentConfig,
     emit_report,
@@ -70,7 +71,7 @@ def build_parser() -> _Parser:
                    help="seed for the simulation stream (default 0)")
     p.add_argument("--workers", type=int, default=1, metavar="W",
                    help="worker threads; results are identical for any value")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text",
+    p.add_argument("--format", choices=tuple(_EMITTERS), default="text",
                    help="report format (default text)")
     p.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
     p.add_argument("--progress", action="store_true",

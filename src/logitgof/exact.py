@@ -5,8 +5,10 @@ null assigns each one probability prod mu_k^y_k (1-mu_k)^(1-y_k) with mu
 taken from the observed-data tested fit. Summing those weights over the
 outcomes whose refitted statistic reaches the observed value gives the
 quantity the simulation estimates, with no Monte-Carlo error at all. It
-refits, evaluates and compares through the Monte-Carlo engine, started at
-zero, so it checks a simulation's draws and counts against exact weights.
+runs the Monte-Carlo engine's `tally` on one thread, every refit started at
+zero, so it checks a simulation's draws and the code that counts them
+against exact weights. The partial sums add in outcome-index order, so
+p_exact's bits hold for a given `_CHUNK` and may move with another.
 
 Enumeration cost doubles per observation; the hard cap keeps refit counts
 near a million, which is minutes of work.
@@ -21,7 +23,7 @@ from .datamodel import Dataset, ModelSpec
 from .errors import ConfigError, NumericalError
 from .fitting import DEFAULT_FIT_CONFIG, FitConfig
 from .montecarlo import _Engine
-from .statistics import StatisticKind, exceeds
+from .statistics import StatisticKind, _kinds
 
 MAX_EXACT_N = 20
 _CHUNK = 4096
@@ -53,36 +55,23 @@ def exact_pvalues(
         raise ConfigError(
             f"exact enumeration is capped at n = {MAX_EXACT_N}; this dataset has n = {d.n}"
         )
-    kinds = tuple(kinds)
-    if not kinds:
-        raise ConfigError("at least one statistic is required")
-
+    kinds = _kinds(kinds)
     if not set(tested.included) <= set(full.included):
         raise ConfigError("the tested model must be nested in the full model")
     eng = _Engine(d, tested, full, kinds, cfg, warm=False)
-    obs_vals = eng.observed()
-
     # log-space weights survive means clamped to the working range's edge
     log_mu = np.log(eng.mu_gen)
     log_1m = np.log(1.0 - eng.mu_gen)
 
-    total = 1 << d.n
-    p = np.zeros(len(kinds))
-    weight_sum = 0.0
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
+    def rows(start, stop):
         Y = _outcome_rows(start, stop, d.n)
         # cumsum adds left to right, as a per-observation loop would
-        lw = np.cumsum(np.where(Y == 1.0, log_mu, log_1m), axis=1)[:, -1]
-        w = np.exp(lw)
-        weight_sum += float(np.sum(w))
-        hit = exceeds(eng.evaluate(Y), obs_vals)
-        # accumulate in outcome-index order so p_exact is bit-stable
-        for col in range(len(kinds)):
-            p[col] += float(np.sum(np.where(hit[:, col], w, 0.0)))
+        return Y, np.exp(np.cumsum(np.where(Y == 1.0, log_mu, log_1m), axis=1)[:, -1])
 
-    if abs(weight_sum - 1.0) > 1e-10:
+    total = 1 << d.n
+    _, sums = eng.tally(total, _CHUNK, rows)
+    if abs(sums[-1] - 1.0) > 1e-10:
         raise NumericalError(
-            f"outcome weights sum to {weight_sum!r}, expected 1 within 1e-10"
+            f"outcome weights sum to {float(sums[-1])!r}, expected 1 within 1e-10"
         )
-    return [ExactPValue(p_exact=float(v), outcomes_enumerated=total) for v in p]
+    return [ExactPValue(p_exact=float(v), outcomes_enumerated=total) for v in sums[:-1]]

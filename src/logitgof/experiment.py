@@ -17,6 +17,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .dataio import inject_uniform_covariates, load_csv
 from .datamodel import Dataset, ModelSpec
@@ -24,7 +25,7 @@ from .datasets import FINNEY_DEPENDENT, finney
 from .errors import ConfigError, NumericalError
 from .fitting import fit
 from .montecarlo import PValueEstimate, SimulationPlan, estimate_pvalues
-from .statistics import StatisticKind, parse_statistics
+from .statistics import StatisticKind, _kinds, parse_statistics
 
 DEFAULT_NUM_SIMULATIONS = 100_000
 
@@ -57,7 +58,7 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "tested_variables", tuple(self.tested_variables))
         object.__setattr__(self, "full_variables", tuple(self.full_variables))
-        object.__setattr__(self, "statistics", tuple(self.statistics))
+        object.__setattr__(self, "statistics", _kinds(self.statistics))
         # an empty full list means "every covariate column"; nesting is then
         # settled when the dataset is loaded and names resolve
         if self.full_variables:
@@ -74,8 +75,6 @@ class ExperimentConfig:
             raise ConfigError("full model lists a variable twice")
         if len(set(self.tested_variables)) != len(self.tested_variables):
             raise ConfigError("tested model lists a variable twice")
-        if not self.statistics:
-            raise ConfigError("at least one statistic is required")
         if self.num_simulations < 1:
             raise ConfigError("num_simulations must be at least 1")
         if self.inject_uniform < 0:
@@ -250,40 +249,24 @@ def emit_text(r: Report) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-_CSV_COLUMNS = (
-    "statistic", "observed_value", "exceed_count", "num_simulations",
-    "p_hat", "std_error", "p_upper_bound",
-    "dataset", "dependent", "n", "l", "m",
-    "master_seed", "inject_uniform", "inject_seed",
-)
+# each file field of a record and the attribute it reads, in file order;
+# these two tables drive the JSON, the CSV and the JSON reader
+_REPORT_FIELDS = {
+    "dataset": "dataset_id",
+    **{name: name for name in ("dependent", "n", "l", "m", "num_simulations",
+                               "master_seed", "inject_uniform", "inject_seed")},
+}
+_ESTIMATE_FIELDS = {
+    "statistic": "statistic.label",
+    **{name: name for name in ("observed_value", "exceed_count", "num_simulations",
+                               "p_hat", "std_error", "p_upper_bound")},
+}
+_CSV_COLUMNS = tuple(dict.fromkeys([*_ESTIMATE_FIELDS, *_REPORT_FIELDS]))
 
 
-def _report_fields(r: Report) -> dict:
-    """The report's own fields under their file names, in file order."""
-    return {
-        "dataset": r.dataset_id,
-        "dependent": r.dependent,
-        "n": r.n,
-        "l": r.l,
-        "m": r.m,
-        "num_simulations": r.num_simulations,
-        "master_seed": r.master_seed,
-        "inject_uniform": r.inject_uniform,
-        "inject_seed": r.inject_seed,
-    }
-
-
-def _estimate_fields(e: PValueEstimate) -> dict:
-    """One estimate's fields under their file names, in file order."""
-    return {
-        "statistic": e.statistic.label,
-        "observed_value": e.observed_value,
-        "exceed_count": e.exceed_count,
-        "num_simulations": e.num_simulations,
-        "p_hat": e.p_hat,
-        "std_error": e.std_error,
-        "p_upper_bound": e.p_upper_bound,
-    }
+def _fields(record, table) -> dict:
+    """record's fields under their file names, in file order."""
+    return {name: attrgetter(attr)(record) for name, attr in table.items()}
 
 
 def emit_csv(r: Report) -> bytes:
@@ -293,13 +276,14 @@ def emit_csv(r: Report) -> bytes:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, _CSV_COLUMNS)
     writer.writeheader()
-    head = _report_fields(r)
-    writer.writerows({**head, **_estimate_fields(e)} for e in r.estimates)
+    head = _fields(r, _REPORT_FIELDS)
+    writer.writerows({**head, **_fields(e, _ESTIMATE_FIELDS)} for e in r.estimates)
     return buf.getvalue().encode("utf-8")
 
 
 def emit_json(r: Report) -> bytes:
-    doc = {**_report_fields(r), "statistics": [_estimate_fields(e) for e in r.estimates]}
+    doc = {**_fields(r, _REPORT_FIELDS),
+           "statistics": [_fields(e, _ESTIMATE_FIELDS) for e in r.estimates]}
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
@@ -316,9 +300,10 @@ def report_from_json(data: bytes) -> Report:
             exceed_count=row["exceed_count"],
             num_simulations=row["num_simulations"],
         )
-        for row in doc.pop("statistics")
+        for row in doc["statistics"]
     )
-    return Report(dataset_id=doc.pop("dataset"), estimates=estimates, **doc)
+    return Report(estimates=estimates,
+                  **{attr: doc[name] for name, attr in _REPORT_FIELDS.items()})
 
 
 _EMITTERS = {"text": emit_text, "csv": emit_csv, "json": emit_json}

@@ -7,8 +7,11 @@ fraction b/i is the P-value estimate.
 
 Determinism is a hard requirement here. Every simulation's randomness comes
 from a counter-based generator keyed by (master_seed, simulation index), and
-all fitting and statistic kernels are batch-size invariant, so the resulting
-counts do not depend on chunking or on the number of worker threads.
+all fitting and statistic kernels are batch-size invariant. The count and
+the exact oracle both run `_Engine.tally`, which adds the chunks' partial
+sums in chunk order. A count is a float sum of ones, exact below 2**53 in
+any order, so it depends neither on chunking nor on the number of worker
+threads; the oracle's weights are not, so its bits depend on its chunk size.
 
 Refits start at the generating fit, not at zero: the tested refit at the
 observed tested coefficients, the full refit at the same coefficients with
@@ -46,7 +49,7 @@ import numpy as np
 from .datamodel import Dataset, ModelSpec, _int
 from .errors import ConfigError
 from .fitting import DEFAULT_FIT_CONFIG, FitConfig, design_matrix, fit_batch
-from .statistics import StatisticKind, evaluate_batch, exceeds
+from .statistics import StatisticKind, _kinds, evaluate_batch, exceeds
 
 
 @dataclass(frozen=True)
@@ -67,12 +70,10 @@ class SimulationPlan:
     fit_config: ClassVar[FitConfig] = DEFAULT_FIT_CONFIG
 
     def __post_init__(self):
-        object.__setattr__(self, "statistics", tuple(self.statistics))
+        object.__setattr__(self, "statistics", _kinds(self.statistics))
         object.__setattr__(self, "full", ModelSpec(range(self.dataset.m)))
         for name in ("num_simulations", "master_seed"):
             object.__setattr__(self, name, _int(getattr(self, name), name))
-        if not self.statistics:
-            raise ConfigError("a simulation plan needs at least one statistic")
         if self.num_simulations < 1:
             raise ConfigError("num_simulations must be at least 1")
         if not 0 <= self.master_seed < 2**64:
@@ -164,6 +165,38 @@ class _Engine:
         draw equal to them is."""
         return self.evaluate(self.y_obs)[0]
 
+    def tally(self, total, size, rows, workers=1, progress=None):
+        """Weigh the outcome rows [0, total) that reach the observed values.
+
+        rows(start, stop) gives a span's outcome matrix and its weights, (B,)
+        or one number. Returns obs = `observed()` and sums: per statistic,
+        the weight of the rows reaching obs, then the weight of all rows.
+        Spans of `size` run on `workers` threads and their partial sums add
+        in span order; progress(done, total) is called under a lock after
+        each span.
+        """
+        obs = self.observed()
+        lock = threading.Lock()
+        done = 0
+
+        def run_span(start):
+            nonlocal done
+            stop = min(start + size, total)
+            Y, w = rows(start, stop)
+            # C order: each row sums as np.sum of that statistic's column
+            # alone would, bit for bit; the all-true last row weighs all
+            mask = np.ones((len(self.kinds) + 1, stop - start), dtype=bool)
+            mask[:-1] = exceeds(self.evaluate(Y), obs).T
+            sums = np.where(mask, w, 0.0).sum(axis=1)
+            if progress is not None:
+                with lock:
+                    done += stop - start
+                    progress(done, total)
+            return sums
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return obs, sum(pool.map(run_span, range(0, total, size)))
+
 
 def observed_statistics(plan: SimulationPlan):
     """Fit both models to the real data and evaluate every statistic.
@@ -203,39 +236,23 @@ def estimate_pvalues(plan: SimulationPlan, workers: int = 1, progress=None):
 
     The chunks run on one thread pool of `workers` threads, one thread
     included; results are identical for any count because chunk boundaries
-    are fixed by the plan and exceedance counts are integers, so summation
-    order cannot matter. progress, if given, is called as progress(done,
-    total) after each chunk under a lock. Raising from the callback cancels
-    the run: chunks not yet started are cancelled, a chunk already running
-    finishes first, and the exception propagates. Nothing is mutated, so a
-    cancelled run leaves no partial state behind.
+    are fixed by the plan and exceedance counts are exact sums of ones, so
+    summation order cannot matter. progress, if given, is called as
+    progress(done, total) after each chunk under a lock. Raising from the
+    callback cancels the run: chunks not yet started are cancelled, a chunk
+    already running finishes first, and the exception propagates. Nothing
+    is mutated, so a cancelled run leaves no partial state behind.
     """
+    workers = _int(workers, "workers")
     if workers < 1:
         raise ConfigError("workers must be at least 1")
     eng = _Engine(plan.dataset, plan.tested, plan.full, plan.statistics, plan.fit_config)
-    obs_vals = eng.observed()
-
     i = plan.num_simulations
-    chunk = _chunk_size(plan.dataset.n)
-    spans = [(s, min(s + chunk, i)) for s in range(0, i, chunk)]
-    lock = threading.Lock()
-    done_sims = 0
 
-    def run_span(span):
-        nonlocal done_sims
-        start, stop = span
-        Y = draw_outcomes(plan.master_seed, start, stop, eng.mu_gen)
-        vals = eng.evaluate(Y)
-        counts = np.sum(exceeds(vals, obs_vals), axis=0).astype(np.int64)
-        if progress is not None:
-            with lock:
-                done_sims += stop - start
-                progress(done_sims, i)
-        return counts
+    def rows(start, stop):
+        return draw_outcomes(plan.master_seed, start, stop, eng.mu_gen), 1.0
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        totals = sum(pool.map(run_span, spans))
-
+    obs_vals, sums = eng.tally(i, _chunk_size(plan.dataset.n), rows, workers, progress)
     return [
         PValueEstimate(
             statistic=kind,
@@ -243,5 +260,5 @@ def estimate_pvalues(plan: SimulationPlan, workers: int = 1, progress=None):
             exceed_count=int(c),
             num_simulations=i,
         )
-        for kind, val, c in zip(plan.statistics, obs_vals, totals)
+        for kind, val, c in zip(plan.statistics, obs_vals, sums)
     ]

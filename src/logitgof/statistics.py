@@ -142,10 +142,19 @@ class StatisticKind:
         return cls(family, OrderingPolicy(rest[-1]) if rest else None, groups)
 
 
-def parse_statistics(labels) -> tuple[StatisticKind, ...]:
-    kinds = tuple(StatisticKind.parse(s) for s in labels)
+def _kinds(values) -> tuple[StatisticKind, ...]:
+    """values as a tuple of StatisticKind; ConfigError if empty or if one is not."""
+    kinds = tuple(values)
     if not kinds:
         raise ConfigError("at least one statistic is required")
+    for k in kinds:
+        if not isinstance(k, StatisticKind):
+            raise ConfigError(f"a statistic is a StatisticKind, got {k!r}")
+    return kinds
+
+
+def parse_statistics(labels) -> tuple[StatisticKind, ...]:
+    kinds = _kinds(StatisticKind.parse(s) for s in labels)
     seen = set()
     for k in kinds:
         if k.label in seen:

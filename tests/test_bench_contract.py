@@ -50,6 +50,29 @@ def test_outcomes_sit_at_the_traced_argument():
         assert params[index] == "Y", f"{name} takes {params[index]!r} at {index}"
 
 
+def test_chunk_bounds_are_passed_positionally():
+    # the tracer reads a chunk's rows from args[lo:hi + 1] of these calls,
+    # so a keyword start or stop would make every traced bench call fail
+    fns = {name: getattr(importlib.import_module(modname), name)
+           for modname, names in TRACED.items() for name in names}
+    sources = spans_constant("_CHUNK_SOURCES")
+    for name, (lo, hi) in sources.items():
+        params = list(inspect.signature(fns[name]).parameters)
+        assert (params[lo], params[hi]) == ("start", "stop"), name
+    calls = {name: 0 for name in sources}
+    for path in sorted((BENCH.parent / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in sources:
+                calls[name] += 1
+                hi = sources[name][1]
+                assert len(node.args) > hi and not node.keywords, f"{path.name}:{node.lineno}"
+                assert not any(isinstance(a, ast.Starred) for a in node.args[:hi + 1])
+    assert all(calls.values()), calls
+
+
 def _is_package(node):
     """node is the name `logitgof` or the attribute `self.lg`, which
     bench/child.py binds to the package."""

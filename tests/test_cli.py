@@ -13,7 +13,7 @@ import pytest
 
 from logitgof import finney
 from logitgof.cli import build_parser, main
-from logitgof.experiment import _CONFIG_KEYS
+from logitgof.experiment import _CONFIG_KEYS, _EMITTERS
 from logitgof.statistics import _ORDERINGS
 
 RUN = [sys.executable, "-m", "logitgof.cli"]
@@ -239,3 +239,11 @@ def test_help_lists_every_statistic_family_and_ordering(monkeypatch):
         listed[form.split(":")[0]] = set(orderings.split(", ")) - {""}
     assert listed == {family: {o.value for o in accepted if o}
                       for family, accepted in _ORDERINGS.items()}
+
+
+def test_format_choices_are_the_emitters(monkeypatch):
+    # --format reads the emitter table, so an emitter added there is offered
+    monkeypatch.setitem(_EMITTERS, "tsv", lambda r: b"")
+    action = next(a for a in build_parser()._actions if a.dest == "format")
+    assert action.choices == tuple(_EMITTERS)
+    assert "tsv" in action.choices

@@ -86,9 +86,10 @@ class TestDrawOutcomes:
 TESTED_MODELS = (ModelSpec(()), ModelSpec((0,)))
 
 
-def engine_chunks(plan, monkeypatch):
-    """The statistic values of every simulated chunk, in simulation order,
-    taken from estimate_pvalues' own call."""
+def engine_chunks(plan, monkeypatch, workers=1):
+    """The estimates of one estimate_pvalues call, the observed values it
+    evaluated and the statistic values of every simulated chunk it
+    evaluated, in simulation order at one worker."""
     from logitgof import montecarlo
 
     chunks = []
@@ -99,19 +100,34 @@ def engine_chunks(plan, monkeypatch):
         return chunks[-1]
 
     monkeypatch.setattr(montecarlo, "evaluate_batch", spy)
-    estimate_pvalues(plan)
+    estimates = estimate_pvalues(plan, workers=workers)
     monkeypatch.undo()
     # the first call evaluates the observed outcomes
-    return chunks[1:]
+    return estimates, chunks[0][0], chunks[1:]
 
 
 class TestEngine:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_are_a_plain_count_of_the_evaluated_chunks(self, workers, monkeypatch):
+        # the counts come from the tally the exact oracle also runs; here
+        # they are recounted from the values of every chunk the run evaluated
+        from logitgof import montecarlo
+
+        labels = ("ks:mu-full", "kuiper:mu-tested", "deviance", "pearson-chi2", "hl:3:mu-full")
+        plan = small_plan(num_simulations=3 * 256 + 5, labels=labels)
+        monkeypatch.setattr(montecarlo, "_chunk_size", lambda n: 256)
+        estimates, obs, chunks = engine_chunks(plan, monkeypatch, workers)
+        assert sorted(len(c) for c in chunks) == [5, 256, 256, 256]
+        counts = sum(np.sum(c >= obs, axis=0) for c in chunks)
+        assert [e.exceed_count for e in estimates] == counts.tolist()
+        assert [e.observed_value for e in estimates] == obs.tolist()
+
     def test_single_simulation_matches_batch_row(self, monkeypatch):
         # the batch is the engine's own chunk, refitted from the same starts;
         # tested = full runs one refit per draw
         for tested in (*TESTED_MODELS, ModelSpec((0, 1))):
             plan = small_plan(num_simulations=64, tested=tested)
-            chunks = engine_chunks(plan, monkeypatch)
+            _, _, chunks = engine_chunks(plan, monkeypatch)
             assert len(chunks) == 1 and chunks[0].shape[0] == 64
             batch = chunks[0]
             for k in (0, 13, 63):
@@ -222,8 +238,10 @@ class TestEngine:
             estimate_pvalues(plan, progress=boom)
 
     def test_rejects_bad_worker_count(self):
-        with pytest.raises(ConfigError, match="workers"):
-            estimate_pvalues(small_plan(num_simulations=10), workers=0)
+        # 2.5 and True used to run, and "2" to die in a bare TypeError
+        for workers in (0, 2.5, True, "2"):
+            with pytest.raises(ConfigError, match="workers"):
+                estimate_pvalues(small_plan(num_simulations=10), workers=workers)
 
 
 class TestPValueEstimate:

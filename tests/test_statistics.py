@@ -8,15 +8,19 @@ from hypothesis import strategies as st
 from logitgof import (
     ConfigError,
     DataError,
+    Dataset,
+    ExperimentConfig,
     GroupingScheme,
     ModelSpec,
     Ordering,
     OrderingPolicy,
+    SimulationPlan,
     StatisticKind,
     default_grouping,
     deviance,
     euclidean_sq,
     evaluate_batch,
+    exact_pvalues,
     finney,
     fit,
     freeman_tukey,
@@ -106,6 +110,25 @@ class TestLabelGrammar:
     def test_hl_group_count_must_be_an_integer(self, groups):
         with pytest.raises(ConfigError, match="group count of statistic 'hl' must be an integer"):
             StatisticKind("hl", ordering=OrderingPolicy.BY_FULL_MU, groups=groups)
+
+    # a label string where a kind belongs used to be accepted at
+    # construction and to die in an AttributeError during the run
+    @pytest.mark.parametrize("entry", ["plan", "config", "exact"])
+    @pytest.mark.parametrize("kinds, message", [
+        (("deviance",), "a statistic is a StatisticKind, got 'deviance'"),
+        ("deviance", "a statistic is a StatisticKind, got 'd'"),
+        ((), "at least one statistic is required"),
+    ], ids=["label-tuple", "bare-label", "empty"])
+    def test_every_entry_point_takes_a_tuple_of_kinds(self, entry, kinds, message):
+        d = finney()
+        build = {
+            "plan": lambda: SimulationPlan(d, ModelSpec(), kinds, 10, 0),
+            "config": lambda: ExperimentConfig("finney", "response", (), (), kinds),
+            "exact": lambda: exact_pvalues(Dataset(d.y[:4], d.x[:4]), ModelSpec(), ModelSpec(),
+                                           kinds),
+        }[entry]
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            build()
 
     def test_parse_statistics_rejects_duplicates_and_empty(self):
         with pytest.raises(ConfigError, match="twice"):
