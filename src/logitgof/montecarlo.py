@@ -171,9 +171,9 @@ class _Engine:
         rows(start, stop) gives a span's outcome matrix and its weights, (B,)
         or one number. Returns obs = `observed()` and sums: per statistic,
         the weight of the rows reaching obs, then the weight of all rows.
-        Spans of `size` run on `workers` threads and their partial sums add
-        in span order; progress(done, total) is called under a lock after
-        each span.
+        Spans of `size` run on a pool of `workers` threads, or in the calling
+        thread when workers is 1, and their partial sums add in span order;
+        progress(done, total) is called under a lock after each span.
         """
         obs = self.observed()
         lock = threading.Lock()
@@ -194,8 +194,14 @@ class _Engine:
                     progress(done, total)
             return sums
 
+        spans = range(0, total, size)
+        if workers == 1:
+            # in the calling thread: a pool thread's malloc arena keeps freed
+            # chunks that later allocations of this thread cannot reuse, and
+            # how much it keeps (10 to 20 MiB at n = 39) varies from run to run
+            return obs, sum(map(run_span, spans))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return obs, sum(pool.map(run_span, range(0, total, size)))
+            return obs, sum(pool.map(run_span, spans))
 
 
 def observed_statistics(plan: SimulationPlan):
@@ -234,14 +240,15 @@ def _chunk_size(n: int) -> int:
 def estimate_pvalues(plan: SimulationPlan, workers: int = 1, progress=None):
     """Run the full plan and return a list of PValueEstimate in plan order.
 
-    The chunks run on one thread pool of `workers` threads, one thread
-    included; results are identical for any count because chunk boundaries
-    are fixed by the plan and exceedance counts are exact sums of ones, so
-    summation order cannot matter. progress, if given, is called as
-    progress(done, total) after each chunk under a lock. Raising from the
-    callback cancels the run: chunks not yet started are cancelled, a chunk
-    already running finishes first, and the exception propagates. Nothing
-    is mutated, so a cancelled run leaves no partial state behind.
+    The chunks run on one thread pool of `workers` threads, or in the
+    calling thread when workers is 1; results are identical for any count
+    because chunk boundaries are fixed by the plan and exceedance counts are
+    exact sums of ones, so summation order cannot matter. progress, if
+    given, is called as progress(done, total) after each chunk under a lock.
+    Raising from the callback cancels the run: chunks not yet started are
+    cancelled, a chunk already running finishes first, and the exception
+    propagates. Nothing is mutated, so a cancelled run leaves no partial
+    state behind.
     """
     workers = _int(workers, "workers")
     if workers < 1:

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -224,6 +225,13 @@ class TestEngine:
         estimate_pvalues(plan, progress=lambda done, total: seen.append((done, total)))
         assert seen[-1] == (1200, 1200)
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
+
+    def test_one_worker_runs_in_the_calling_thread(self):
+        # a pool thread's malloc arena would keep its freed chunks
+        plan = small_plan(num_simulations=1200)
+        seen = set()
+        estimate_pvalues(plan, progress=lambda done, total: seen.add(threading.get_ident()))
+        assert seen == {threading.get_ident()}
 
     def test_progress_exception_cancels_run(self):
         plan = small_plan(num_simulations=5000)
