@@ -95,9 +95,7 @@ def inject_uniform_covariates(d: Dataset, count: int, seed: int) -> Dataset:
     by half a step, so neither endpoint can occur. The same seed always
     yields the same columns.
     """
-    count, seed = _int(count, "inject_uniform count"), _int(seed, "inject_seed")
-    if count < 1:
-        raise ConfigError("inject_uniform count must be at least 1")
+    count, seed = _int(count, "inject_uniform count", minimum=1), _int(seed, "inject_seed")
     if not 0 <= seed < 1 << 128:
         raise ConfigError("inject_seed must lie in [0, 2**128), the Philox key range")
     new_names = tuple(f"u{j + 1}" for j in range(count))

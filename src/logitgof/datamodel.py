@@ -19,11 +19,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _int(v, what: str, must_be: str = "an integer") -> int:
+def _int(v, what: str, must_be: str = "an integer", minimum: int | None = None) -> int:
     """v as an int; ConfigError, saying what must be, unless v is an
-    integer. A NumPy integer is one; a bool is not, as in config files."""
+    integer of at least minimum (if given). A NumPy integer is one; a bool
+    is not, as in config files."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ConfigError(f"{what} must be {must_be}, got {v!r}")
+    if minimum is not None and v < minimum:
+        raise ConfigError(f"{what} must be at least {minimum}")
     return int(v)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .dataio import inject_uniform_covariates, load_csv
-from .datamodel import Dataset, ModelSpec
+from .datamodel import Dataset, ModelSpec, _int
 from .datasets import FINNEY_DEPENDENT, finney
 from .errors import ConfigError, NumericalError
 from .fitting import fit
@@ -56,9 +56,21 @@ class ExperimentConfig:
     inject_seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "tested_variables", tuple(self.tested_variables))
-        object.__setattr__(self, "full_variables", tuple(self.full_variables))
+        for name, must_be in (("dataset_source", "a path string or 'finney'"),
+                              ("dependent", "a string")):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be {must_be}, got {value!r}")
+        for name in ("tested_variables", "full_variables"):
+            names = getattr(self, name)
+            # a bare string would otherwise be read as one name per character
+            if isinstance(names, str):
+                raise ConfigError(f"{name} must be a sequence of names, not the string {names!r}")
+            object.__setattr__(self, name, tuple(names))
         object.__setattr__(self, "statistics", _kinds(self.statistics))
+        for name, minimum in (("num_simulations", 1), ("master_seed", None),
+                              ("inject_uniform", None)):
+            object.__setattr__(self, name, _int(getattr(self, name), name, minimum=minimum))
         # an empty full list means "every covariate column"; nesting is then
         # settled when the dataset is loaded and names resolve
         if self.full_variables:
@@ -75,8 +87,6 @@ class ExperimentConfig:
             raise ConfigError("full model lists a variable twice")
         if len(set(self.tested_variables)) != len(self.tested_variables):
             raise ConfigError("tested model lists a variable twice")
-        if self.num_simulations < 1:
-            raise ConfigError("num_simulations must be at least 1")
         if self.inject_uniform < 0:
             raise ConfigError("inject_uniform cannot be negative")
         if self.inject_uniform > 0 and self.inject_seed is None:

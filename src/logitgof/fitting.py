@@ -82,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import Dataset, FittedModel, ModelSpec, _int
-from .errors import ConfigError, DataError, NumericalError
+from .errors import DataError, NumericalError
 
 
 # the stopping tolerance of module note 3, and the clamp that keeps every
@@ -100,9 +100,7 @@ class FitConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
-        object.__setattr__(self, "max_iterations", _int(self.max_iterations, "max_iterations"))
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be at least 1")
+        object.__setattr__(self, "max_iterations", _int(self.max_iterations, "max_iterations", minimum=1))
 
 
 DEFAULT_FIT_CONFIG = FitConfig()

@@ -72,10 +72,8 @@ class SimulationPlan:
     def __post_init__(self):
         object.__setattr__(self, "statistics", _kinds(self.statistics))
         object.__setattr__(self, "full", ModelSpec(range(self.dataset.m)))
-        for name in ("num_simulations", "master_seed"):
-            object.__setattr__(self, name, _int(getattr(self, name), name))
-        if self.num_simulations < 1:
-            raise ConfigError("num_simulations must be at least 1")
+        for name, minimum in (("num_simulations", 1), ("master_seed", None)):
+            object.__setattr__(self, name, _int(getattr(self, name), name, minimum=minimum))
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in 64 unsigned bits")
         self.tested.check_against(self.dataset)
@@ -225,6 +223,7 @@ def observed_statistics(plan: SimulationPlan):
 def run_one_simulation(plan: SimulationPlan, index: int) -> np.ndarray:
     """Statistic values for simulation `index` alone, bit-identical to the
     row that a batched run produces for the same index."""
+    index = _int(index, "simulation index")
     if not 0 <= index < plan.num_simulations:
         raise ConfigError(f"simulation index {index} outside 0..{plan.num_simulations - 1}")
     eng = _Engine(plan.dataset, plan.tested, plan.full, plan.statistics, plan.fit_config)
@@ -250,9 +249,7 @@ def estimate_pvalues(plan: SimulationPlan, workers: int = 1, progress=None):
     propagates. Nothing is mutated, so a cancelled run leaves no partial
     state behind.
     """
-    workers = _int(workers, "workers")
-    if workers < 1:
-        raise ConfigError("workers must be at least 1")
+    workers = _int(workers, "workers", minimum=1)
     eng = _Engine(plan.dataset, plan.tested, plan.full, plan.statistics, plan.fit_config)
     i = plan.num_simulations
 

@@ -106,8 +106,7 @@ class StatisticKind:
                 f"{' or '.join(map(_ordering_text, accepted))}, got {_ordering_text(self.ordering)}"
             )
         if self.family == "hl":
-            if _int(self.groups, "the group count of statistic 'hl'") < 2:
-                raise ConfigError("statistic 'hl' needs at least 2 groups")
+            _int(self.groups, "the group count of statistic 'hl'", minimum=2)
         elif self.groups is not None:
             raise ConfigError(f"statistic '{self.family}' takes no group count")
 
@@ -143,24 +142,21 @@ class StatisticKind:
 
 
 def _kinds(values) -> tuple[StatisticKind, ...]:
-    """values as a tuple of StatisticKind; ConfigError if empty or if one is not."""
+    """values as a tuple of distinct StatisticKind; ConfigError if empty, if
+    one is not a kind, or if one is requested twice."""
     kinds = tuple(values)
     if not kinds:
         raise ConfigError("at least one statistic is required")
-    for k in kinds:
+    for i, k in enumerate(kinds):
         if not isinstance(k, StatisticKind):
             raise ConfigError(f"a statistic is a StatisticKind, got {k!r}")
+        if k in kinds[:i]:
+            raise ConfigError(f"statistic '{k.label}' requested twice")
     return kinds
 
 
 def parse_statistics(labels) -> tuple[StatisticKind, ...]:
-    kinds = _kinds(StatisticKind.parse(s) for s in labels)
-    seen = set()
-    for k in kinds:
-        if k.label in seen:
-            raise ConfigError(f"statistic '{k.label}' requested twice")
-        seen.add(k.label)
-    return kinds
+    return _kinds(StatisticKind.parse(s) for s in labels)
 
 
 def make_ordering(

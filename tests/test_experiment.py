@@ -2,6 +2,7 @@
 import csv as csvmod
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -71,6 +72,34 @@ class TestFromDict:
             ExperimentConfig.from_dict(base_doc(num_simulations="many"))
         with pytest.raises(ConfigError, match="'tested' must be a list"):
             ExperimentConfig.from_dict(base_doc(tested="volume"))
+        # a direct construction goes through the same integer rule: "10"
+        # used to die in a TypeError and master_seed "1" to construct
+        kinds = (StatisticKind("deviance"),)
+        for name, value in [("num_simulations", "10"), ("num_simulations", 2.5),
+                            ("num_simulations", True), ("master_seed", "1"),
+                            ("inject_uniform", "1")]:
+            with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value!r}$"):
+                ExperimentConfig("finney", "response", (), (), kinds, **{name: value})
+
+    def test_direct_construction_takes_names_as_strings(self, tmp_path):
+        kinds = (StatisticKind("deviance"),)
+        # an open descriptor used to be read, and closed, as the dataset
+        path = tmp_path / "finney.csv"
+        export_csv(finney(), "response", path)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with pytest.raises(ConfigError, match=f"^dataset_source must be a path string or 'finney', got {fd}$"):
+                ExperimentConfig(fd, "response", (), ("volume", "rate"), kinds)
+            os.fstat(fd)  # still open
+        finally:
+            os.close(fd)
+        with pytest.raises(ConfigError, match="^dependent must be a string, got 1$"):
+            ExperimentConfig("finney", 1, (), (), kinds)
+        # a bare string used to be split into one name per character
+        with pytest.raises(ConfigError, match="^full_variables must be a sequence of names, not the string 'volume'$"):
+            ExperimentConfig("finney", "response", (), "volume", kinds)
+        with pytest.raises(ConfigError, match="^tested_variables must be a sequence of names, not the string 'rate'$"):
+            ExperimentConfig("finney", "response", "rate", ("volume", "rate"), kinds)
 
     @pytest.mark.parametrize(
         "key", ["num_simulations", "master_seed", "inject_uniform", "inject_seed"]

@@ -134,6 +134,12 @@ class TestEngine:
             for k in (0, 13, 63):
                 solo = run_one_simulation(plan, k)
                 assert np.array_equal(solo, batch[k])
+        # True used to run as index 1, and 2.5 and "1" died in a TypeError
+        for index in (True, 2.5, "1"):
+            with pytest.raises(ConfigError, match=f"^simulation index must be an integer, got {index!r}$"):
+                run_one_simulation(plan, index)
+        with pytest.raises(ConfigError, match="^simulation index 64 outside 0..63$"):
+            run_one_simulation(plan, 64)
 
     @pytest.mark.parametrize("tested", [(), (0,), (0, 1)])
     def test_a_draw_equal_to_the_data_reproduces_the_observed_values(self, tested):

@@ -118,7 +118,8 @@ class TestLabelGrammar:
         (("deviance",), "a statistic is a StatisticKind, got 'deviance'"),
         ("deviance", "a statistic is a StatisticKind, got 'd'"),
         ((), "at least one statistic is required"),
-    ], ids=["label-tuple", "bare-label", "empty"])
+        ((StatisticKind("deviance"),) * 2, "statistic 'deviance' requested twice"),
+    ], ids=["label-tuple", "bare-label", "empty", "repeat"])
     def test_every_entry_point_takes_a_tuple_of_kinds(self, entry, kinds, message):
         d = finney()
         build = {
