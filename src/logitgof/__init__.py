@@ -9,11 +9,9 @@ oracle in `exact` and experiment orchestration in `experiment`.
 from .datamodel import (
     Dataset,
     FittedModel,
-    GroupingScheme,
     ModelSpec,
     Ordering,
     OrderingPolicy,
-    default_grouping,
 )
 from .datasets import FINNEY_DEPENDENT, finney
 from .dataio import export_csv, inject_uniform_covariates, load_csv
@@ -36,21 +34,15 @@ from .montecarlo import (
     draw_outcomes,
     estimate_pvalues,
     observed_statistics,
-    run_one_simulation,
 )
 from .statistics import (
     StatisticKind,
-    deviance,
-    euclidean_sq,
     evaluate_batch,
-    freeman_tukey,
     half_abs_sum,
-    hosmer_lemeshow,
     ks_statistic,
     kuiper_statistic,
     make_ordering,
     parse_statistics,
-    pearson_chi2,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +58,6 @@ __all__ = [
     "FINNEY_DEPENDENT",
     "FitConfig",
     "FittedModel",
-    "GroupingScheme",
     "LogitgofError",
     "MAX_EXACT_N",
     "ModelSpec",
@@ -78,21 +69,16 @@ __all__ = [
     "SimulationPlan",
     "StatisticKind",
     "build_plan",
-    "default_grouping",
     "design_matrix",
-    "deviance",
     "draw_outcomes",
     "emit_report",
     "estimate_pvalues",
-    "euclidean_sq",
     "evaluate_batch",
     "exact_pvalues",
     "export_csv",
     "finney",
     "fit",
-    "freeman_tukey",
     "half_abs_sum",
-    "hosmer_lemeshow",
     "inject_uniform_covariates",
     "ks_statistic",
     "kuiper_statistic",
@@ -101,10 +87,8 @@ __all__ = [
     "make_ordering",
     "observed_statistics",
     "parse_statistics",
-    "pearson_chi2",
     "report_from_json",
     "residuals",
     "run_experiment",
-    "run_one_simulation",
     "__version__",
 ]

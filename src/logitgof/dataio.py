@@ -41,6 +41,8 @@ def load_csv(path, dependent_name: str) -> Dataset:
         raise DataError(
             f"dependent column {dependent_name!r} not in header {header}"
         )
+    if header.count(dependent_name) > 1:
+        raise DataError(f"header names the dependent column {dependent_name!r} twice")
     ycol = header.index(dependent_name)
     names = [h for j, h in enumerate(header) if j != ycol]
     yraw = []

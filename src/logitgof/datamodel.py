@@ -1,4 +1,5 @@
-"""Core domain types: datasets, model selections, orderings, groupings.
+"""Core domain types: datasets, model selections and orderings, plus the
+group sizes of the grouped statistic.
 
 Everything here is immutable after construction. Arrays are copied in and
 marked read-only so instances can be shared freely across worker threads.
@@ -28,12 +29,6 @@ def _int(v, what: str, must_be: str = "an integer", minimum: int | None = None) 
     if minimum is not None and v < minimum:
         raise ConfigError(f"{what} must be at least {minimum}")
     return int(v)
-
-
-def _ints(values, what: str) -> tuple[int, ...]:
-    """values as ints by the rule of _int; the error names the first entry
-    that is not an integer."""
-    return tuple(_int(v, what, "integers") for v in values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +125,7 @@ class ModelSpec:
     included: tuple[int, ...] = ()
 
     def __init__(self, included=()):
-        inc = _ints(included, "column indices")
+        inc = tuple(_int(j, "column indices", "integers") for j in included)
         if len(set(inc)) != len(inc):
             raise ConfigError(f"duplicate column index in model selection {inc}")
         object.__setattr__(self, "included", inc)
@@ -188,33 +183,10 @@ class Ordering:
         object.__setattr__(self, "sigma", sig)
 
 
-@dataclass(frozen=True)
-class GroupingScheme:
-    """Consecutive group sizes for the grouped calibration statistic."""
-
-    sizes: tuple[int, ...]
-
-    def __init__(self, sizes):
-        sz = _ints(sizes, "group sizes")
-        if not sz or any(s < 1 for s in sz):
-            raise ConfigError(f"group sizes must all be positive, got {sz}")
-        object.__setattr__(self, "sizes", sz)
-
-    @property
-    def g(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def n(self) -> int:
-        return sum(self.sizes)
-
-    def starts(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(self.sizes)[:-1])).astype(np.intp)
-
-
-def default_grouping(n: int, g: int) -> GroupingScheme:
-    """g groups over n observations: the first g-1 of size ceil(n/g), the
-    last takes the remainder. Errors when the remainder would be empty."""
+def default_grouping(n: int, g: int) -> tuple[int, ...]:
+    """The sizes of g consecutive groups over n observations: the first g-1
+    of size ceil(n/g), the last takes the remainder. Errors when the
+    remainder would be empty."""
     n, g = _int(n, "the observation count"), _int(g, "the group count")
     if g < 1 or g > n:
         raise ConfigError(f"cannot split {n} observations into {g} groups")
@@ -224,4 +196,4 @@ def default_grouping(n: int, g: int) -> GroupingScheme:
         raise ConfigError(
             f"{g} groups of {head} leave no observations for the last group (n={n})"
         )
-    return GroupingScheme((head,) * (g - 1) + (last,))
+    return (head,) * (g - 1) + (last,)

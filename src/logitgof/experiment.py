@@ -63,14 +63,19 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be {must_be}, got {value!r}")
         for name in ("tested_variables", "full_variables"):
             names = getattr(self, name)
-            # a bare string would otherwise be read as one name per character
+            # a bare string would otherwise be read as one name per character,
+            # and a set in an order that follows the string hash seed
             if isinstance(names, str):
                 raise ConfigError(f"{name} must be a sequence of names, not the string {names!r}")
+            if not isinstance(names, (list, tuple)):
+                raise ConfigError(f"{name} must be a list or tuple of names, got {names!r}")
             object.__setattr__(self, name, tuple(names))
         object.__setattr__(self, "statistics", _kinds(self.statistics))
         for name, minimum in (("num_simulations", 1), ("master_seed", None),
-                              ("inject_uniform", None)):
+                              ("inject_uniform", 0)):
             object.__setattr__(self, name, _int(getattr(self, name), name, minimum=minimum))
+        if self.inject_seed is not None:
+            object.__setattr__(self, "inject_seed", _int(self.inject_seed, "inject_seed"))
         # an empty full list means "every covariate column"; nesting is then
         # settled when the dataset is loaded and names resolve
         if self.full_variables:
@@ -87,8 +92,6 @@ class ExperimentConfig:
             raise ConfigError("full model lists a variable twice")
         if len(set(self.tested_variables)) != len(self.tested_variables):
             raise ConfigError("tested model lists a variable twice")
-        if self.inject_uniform < 0:
-            raise ConfigError("inject_uniform cannot be negative")
         if self.inject_uniform > 0 and self.inject_seed is None:
             raise ConfigError("inject_seed is required when injecting covariates")
 

@@ -220,16 +220,6 @@ def observed_statistics(plan: SimulationPlan):
     return pairs, eng.mu_gen, mu_f, conv
 
 
-def run_one_simulation(plan: SimulationPlan, index: int) -> np.ndarray:
-    """Statistic values for simulation `index` alone, bit-identical to the
-    row that a batched run produces for the same index."""
-    index = _int(index, "simulation index")
-    if not 0 <= index < plan.num_simulations:
-        raise ConfigError(f"simulation index {index} outside 0..{plan.num_simulations - 1}")
-    eng = _Engine(plan.dataset, plan.tested, plan.full, plan.statistics, plan.fit_config)
-    return eng.evaluate(draw_outcomes(plan.master_seed, index, index + 1, eng.mu_gen))[0]
-
-
 def _chunk_size(n: int) -> int:
     # keep chunk * n work arrays around a few MB; clamp so tiny datasets do
     # not explode the chunk count and huge ones still batch usefully

@@ -1,9 +1,12 @@
 """Goodness-of-fit statistics and the orderings and groupings they use.
 
-Every statistic here is a scalar function of the outcome vector and fitted
-means. The Monte-Carlo engine and the exhaustive-enumeration oracle both
-evaluate statistics through `evaluate_batch`, so there is exactly one code
-path that defines each statistic's value.
+Every statistic here is a function of the outcome vector and fitted means.
+`evaluate_batch` is the one way to a statistic's value: the Monte-Carlo
+engine and the exhaustive-enumeration oracle both call it, and it checks
+its inputs, so a statistic of one's own fit comes from it too. Three
+scalar helpers stay beside it, `ks_statistic`, `kuiper_statistic` and
+`half_abs_sum`, because they take residuals in an arbitrary ordering, such
+as a rotation, which no StatisticKind names.
 
 `evaluate_batch` works on (B, n) batches, and every value of row k comes
 from operations on row k alone, so row k of a batch is bit-identical to
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import GroupingScheme, Ordering, OrderingPolicy, _check_binary, _int, default_grouping
+from .datamodel import Ordering, OrderingPolicy, _int, default_grouping
 from .errors import ConfigError, DataError
 
 # The statistic vocabulary, one entry per family: the orderings it accepts.
@@ -319,21 +322,21 @@ def _cell_statistic(family, ones, mu):
     return _CELL_SCALE.get(family, 1.0) * np.sum(cells, axis=1)
 
 
-def _hl_batch(ys, ms, grouping: GroupingScheme):
+def _hl_batch(ys, ms, sizes):
     """Grouped calibration statistic over consecutive blocks of an order.
 
-    ys and ms are the outcomes and means taken in the order of the
-    grouping key (its stable argsort, per row), cut into the grouping's
-    blocks, and each block contributes (observed ones - expected)^2
-    over expected * (1 - expected/size). A block whose denominator
-    degenerates contributes 0 when the count matches the degenerate
-    expectation and +inf otherwise, so the simulation comparison stays
-    well-defined.
+    ys and ms are the outcomes and tested means taken in the order of the
+    grouping key (its stable argsort, per row), cut into consecutive blocks
+    of the given sizes, as `default_grouping` returns them. Each block
+    contributes (observed ones - expected)^2 over
+    expected * (1 - expected/size). A block whose denominator degenerates
+    contributes 0 when the count matches the degenerate expectation and
+    +inf otherwise, so the simulation comparison stays well-defined.
     """
-    starts = grouping.starts()
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     nk = np.add.reduceat(ys, starts, axis=1, dtype=np.float64)
     ek = np.add.reduceat(ms, starts, axis=1)
-    sk = np.asarray(grouping.sizes, float)
+    sk = np.asarray(sizes, float)
     den = ek * (1.0 - ek / sk)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = (nk - ek) ** 2 / den
@@ -346,15 +349,26 @@ def _hl_batch(ys, ms, grouping: GroupingScheme):
 def evaluate_batch(kinds, Y, mu_tested, mu_full) -> np.ndarray:
     """Evaluate every requested statistic on a batch of outcome vectors.
 
-    Y (0/1 outcomes), mu_tested and mu_full are (B, n); the result is (B, K)
-    with one column per kind, in the order given. This is the single
-    evaluation path shared by the simulation engine and the enumeration
-    oracle.
+    Y (0/1 outcomes), mu_tested and mu_full are (B, n) with B, n >= 1; the
+    result is (B, K) with one column per kind, in the order given. This is
+    the single evaluation path shared by the simulation engine and the
+    enumeration oracle. kinds must be distinct StatisticKinds, as at every
+    entry point (ConfigError); arrays of another shape, or an outcome that
+    is not exactly 0 or 1, raise DataError.
     """
+    kinds = _kinds(kinds)
     Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2:
+        raise DataError(f"outcomes must form a (B, n) array, got shape {Y.shape}")
+    _check_shapes(Y=Y.shape, mu_tested=np.shape(mu_tested), mu_full=np.shape(mu_full))
     B, n = Y.shape
     mu = np.ascontiguousarray(mu_tested, dtype=np.float64)
     ones = Y == 1.0
+    stray = Y != 0.0
+    stray &= ~ones
+    if stray.any():
+        b, k = np.argwhere(stray)[0]
+        raise DataError(f"non-binary outcome in row {b + 1} at observation {k + 1}")
     ones8 = ones.view(np.uint8)
     out = np.empty((B, len(kinds)))
 
@@ -406,25 +420,22 @@ def exceeds(vals, obs):
 
 
 # ---------------------------------------------------------------------------
-# scalar entry points, thin wrappers over the same kernels
+# scalar helpers for residuals in an arbitrary ordering
 
 
-def _row(a):
-    return np.asarray(a, dtype=np.float64)[None, :]
-
-
-def _check_lengths(**lengths):
-    """Raise DataError naming every length unless they all agree, and
-    DataError when they are all 0."""
-    if len(set(lengths.values())) > 1:
-        raise DataError("lengths differ: " + ", ".join(f"{k} {v}" for k, v in lengths.items()))
-    if 0 in lengths.values():
+def _check_shapes(**shapes):
+    """Raise DataError naming every shape unless they all agree, and
+    DataError when they hold no observations. A shape is a length or a
+    tuple of lengths."""
+    if len(set(shapes.values())) > 1:
+        raise DataError("shapes differ: " + ", ".join(f"{k} {v}" for k, v in shapes.items()))
+    if 0 in np.atleast_1d(next(iter(shapes.values()))):
         raise DataError("no observations")
 
 
 def _scan_one(r, ordering: Ordering):
     r = np.asarray(r, dtype=np.float64)
-    _check_lengths(residuals=len(r), ordering=len(ordering.sigma))
+    _check_shapes(residuals=len(r), ordering=len(ordering.sigma))
     return _scan_extremes(r[ordering.sigma][:, None])
 
 
@@ -441,47 +452,6 @@ def kuiper_statistic(r, ordering: Ordering) -> float:
 def half_abs_sum(r) -> float:
     """Half the sum of absolute residuals, the KS value maximized over orderings."""
     r = np.asarray(r, dtype=np.float64)
-    _check_lengths(residuals=len(r))
+    _check_shapes(residuals=len(r))
     cells = np.sort(np.abs(r))
     return float(0.5 * np.sum(cells))
-
-
-def _cell_value(family, y, mu):
-    _check_lengths(y=len(y), mu=len(mu))
-    y = np.asarray(y, dtype=np.float64)
-    _check_binary(y)
-    return float(_cell_statistic(family, _row(y) == 1.0, _row(mu))[0])
-
-
-def deviance(y, mu) -> float:
-    """Minus twice the log-likelihood of y under means mu."""
-    return _cell_value("deviance", y, mu)
-
-
-def freeman_tukey(y, mu) -> float:
-    """Squared-root distance on the observed cells, 4 sum (sqrt y - sqrt mu)^2."""
-    return _cell_value("freeman-tukey", y, mu)
-
-
-def pearson_chi2(y, mu) -> float:
-    """Sum of squared Pearson residuals (y - mu)^2 / (mu (1 - mu))."""
-    return _cell_value("pearson-chi2", y, mu)
-
-
-def euclidean_sq(y, mu) -> float:
-    """Plain squared distance between y and mu."""
-    return _cell_value("euclidean", y, mu)
-
-
-def hosmer_lemeshow(y, mu_for_value, mu_for_grouping, grouping: GroupingScheme) -> float:
-    """Grouped calibration statistic; see _hl_batch for the block rule."""
-    y = np.asarray(y, dtype=np.float64)
-    _check_lengths(y=len(y), mu_for_value=len(mu_for_value), mu_for_grouping=len(mu_for_grouping))
-    _check_binary(y)
-    if grouping.n != y.shape[0]:
-        raise ConfigError(
-            f"grouping covers {grouping.n} observations but y has {y.shape[0]}"
-        )
-    order = stable_argsort(_row(mu_for_grouping))[0]
-    ms = np.asarray(mu_for_value, dtype=np.float64)[order]
-    return float(_hl_batch(y[order][None, :], ms[None, :], grouping)[0])

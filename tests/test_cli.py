@@ -123,6 +123,14 @@ class TestInProcess:
         assert code == 2
         assert b"not 0 or 1" in capsysbinary.readouterr().err
 
+    def test_dependent_named_twice_exits_2(self, tmp_path, capsysbinary):
+        p = tmp_path / "twice.csv"
+        p.write_text("y,a,y\n1,0.5,1\n0,0.7,0\n", encoding="utf-8")
+        code = main(["--dataset", str(p), "--dependent", "y",
+                     "--statistics", "deviance", "--num-simulations", "5"])
+        assert code == 2
+        assert b"dependent column 'y' twice" in capsysbinary.readouterr().err
+
     def test_non_finite_covariate_exits_2(self, tmp_path, capsysbinary):
         p = tmp_path / "nan.csv"
         p.write_text("y,a,b\n1,1.0,2.0\n0,nan,inf\n", encoding="utf-8")

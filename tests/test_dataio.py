@@ -87,6 +87,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="dependent column 'y' not in header"):
             load_csv(p, "y")
 
+    def test_dependent_named_twice_in_the_header(self, tmp_path):
+        # the second 'y' used to load as a covariate named 'y', which an
+        # empty full list then put into the full model
+        p = tmp_path / "twice.csv"
+        p.write_text("y,y,x\n1,0,0.5\n0,1,0.7\n", encoding="utf-8")
+        with pytest.raises(DataError, match="^header names the dependent column 'y' twice$"):
+            load_csv(p, "y")
+
     def test_ragged_row_names_the_row(self, tmp_path):
         p = tmp_path / "rag.csv"
         p.write_text("y,a,b\n1,1.0,2.0\n0,3.0\n", encoding="utf-8")

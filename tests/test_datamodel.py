@@ -7,13 +7,12 @@ from logitgof import (
     ConfigError,
     DataError,
     Dataset,
-    GroupingScheme,
     ModelSpec,
     Ordering,
     OrderingPolicy,
-    default_grouping,
     finney,
 )
+from logitgof.datamodel import default_grouping
 
 
 class TestDataset:
@@ -137,30 +136,11 @@ class TestOrdering:
 
 
 class TestGrouping:
-    def test_sizes_must_be_positive(self):
-        with pytest.raises(ConfigError, match="positive"):
-            GroupingScheme((3, 0))
-        with pytest.raises(ConfigError, match="positive"):
-            GroupingScheme(())
-
-    # int() would truncate 2.5 to 2
-    @pytest.mark.parametrize("sizes", [(2.5, 1), ("2", 1), (True, 1)],
-                             ids=["fraction", "string", "bool"])
-    def test_sizes_must_be_integers(self, sizes):
-        assert GroupingScheme((np.int32(2), 1)).sizes == (2, 1)
-        with pytest.raises(ConfigError, match="^group sizes must be integers"):
-            GroupingScheme(sizes)
-
-    def test_counts_and_starts(self):
-        s = GroupingScheme((4, 4, 2))
-        assert s.g == 3 and s.n == 10
-        assert s.starts().tolist() == [0, 4, 8]
-
     def test_default_grouping_hand_cases(self):
-        assert default_grouping(39, 3).sizes == (13, 13, 13)
-        assert default_grouping(39, 5).sizes == (8, 8, 8, 8, 7)
-        assert default_grouping(10, 3).sizes == (4, 4, 2)
-        assert default_grouping(5, 5).sizes == (1, 1, 1, 1, 1)
+        assert default_grouping(39, 3) == (13, 13, 13)
+        assert default_grouping(39, 5) == (8, 8, 8, 8, 7)
+        assert default_grouping(10, 3) == (4, 4, 2)
+        assert default_grouping(5, 5) == (1, 1, 1, 1, 1)
 
     def test_default_grouping_rejects_bad_counts(self):
         with pytest.raises(ConfigError):
@@ -186,8 +166,8 @@ class TestGrouping:
             s = default_grouping(n, g)
         except ConfigError:
             return
-        assert s.n == n
-        assert s.g == g
+        assert sum(s) == n
+        assert len(s) == g
         head = -(-n // g)
-        assert all(size == head for size in s.sizes[:-1])
-        assert 1 <= s.sizes[-1] <= head
+        assert all(size == head for size in s[:-1])
+        assert 1 <= s[-1] <= head

@@ -101,6 +101,16 @@ class TestFromDict:
         with pytest.raises(ConfigError, match="^tested_variables must be a sequence of names, not the string 'rate'$"):
             ExperimentConfig("finney", "response", "rate", ("volume", "rate"), kinds)
 
+    # a set used to be taken in its iteration order, which follows the
+    # string hash seed, and the column order and the result bits with it
+    @pytest.mark.parametrize("names", [{"volume", "rate"}, frozenset({"volume"}),
+                                       iter(["volume"])], ids=["set", "frozenset", "iterator"])
+    @pytest.mark.parametrize("field", ["tested_variables", "full_variables"])
+    def test_variable_lists_must_be_lists_or_tuples(self, field, names):
+        kw = {"tested_variables": (), "full_variables": ("volume", "rate"), field: names}
+        with pytest.raises(ConfigError, match=f"^{field} must be a list or tuple of names, got "):
+            ExperimentConfig("finney", "response", statistics=(StatisticKind("deviance"),), **kw)
+
     @pytest.mark.parametrize(
         "key", ["num_simulations", "master_seed", "inject_uniform", "inject_seed"]
     )
@@ -143,8 +153,20 @@ class TestFromDict:
             ExperimentConfig.from_dict(base_doc(inject_uniform=1))
 
     def test_injection_count_cannot_be_negative(self):
-        with pytest.raises(ConfigError, match="cannot be negative"):
+        with pytest.raises(ConfigError, match="^inject_uniform must be at least 0$"):
             ExperimentConfig.from_dict(base_doc(inject_uniform=-1, inject_seed=4))
+
+    # a fractional seed used to be accepted when nothing was injected, and
+    # the JSON report recorded it
+    @pytest.mark.parametrize("seed", [1.5, "4"])
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_injection_seed_must_be_an_integer(self, count, seed):
+        kinds = (StatisticKind("deviance"),)
+        with pytest.raises(ConfigError, match=f"^inject_seed must be an integer, got {seed!r}$"):
+            ExperimentConfig("finney", "response", (), (), kinds, inject_uniform=count,
+                             inject_seed=seed)
+        cfg = ExperimentConfig("finney", "response", (), (), kinds, inject_seed=np.int64(4))
+        assert type(cfg.inject_seed) is int
 
 
 class TestLoadConfig:

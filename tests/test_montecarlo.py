@@ -16,7 +16,6 @@ from logitgof import (
     finney,
     observed_statistics,
     parse_statistics,
-    run_one_simulation,
 )
 
 
@@ -124,22 +123,19 @@ class TestEngine:
         assert [e.observed_value for e in estimates] == obs.tolist()
 
     def test_single_simulation_matches_batch_row(self, monkeypatch):
-        # the batch is the engine's own chunk, refitted from the same starts;
-        # tested = full runs one refit per draw
+        # the batch is the engine's own chunk; a one-row draw is refitted
+        # from the same starts; tested = full runs one refit per draw
+        from logitgof.montecarlo import _Engine
+
         for tested in (*TESTED_MODELS, ModelSpec((0, 1))):
             plan = small_plan(num_simulations=64, tested=tested)
             _, _, chunks = engine_chunks(plan, monkeypatch)
             assert len(chunks) == 1 and chunks[0].shape[0] == 64
             batch = chunks[0]
+            eng = _Engine(plan.dataset, plan.tested, plan.full, plan.statistics, plan.fit_config)
             for k in (0, 13, 63):
-                solo = run_one_simulation(plan, k)
+                solo = eng.evaluate(draw_outcomes(plan.master_seed, k, k + 1, eng.mu_gen))[0]
                 assert np.array_equal(solo, batch[k])
-        # True used to run as index 1, and 2.5 and "1" died in a TypeError
-        for index in (True, 2.5, "1"):
-            with pytest.raises(ConfigError, match=f"^simulation index must be an integer, got {index!r}$"):
-                run_one_simulation(plan, index)
-        with pytest.raises(ConfigError, match="^simulation index 64 outside 0..63$"):
-            run_one_simulation(plan, 64)
 
     @pytest.mark.parametrize("tested", [(), (0,), (0, 1)])
     def test_a_draw_equal_to_the_data_reproduces_the_observed_values(self, tested):

@@ -10,29 +10,23 @@ from logitgof import (
     DataError,
     Dataset,
     ExperimentConfig,
-    GroupingScheme,
     ModelSpec,
     Ordering,
     OrderingPolicy,
     SimulationPlan,
     StatisticKind,
-    default_grouping,
-    deviance,
-    euclidean_sq,
     evaluate_batch,
     exact_pvalues,
     finney,
     fit,
-    freeman_tukey,
     half_abs_sum,
-    hosmer_lemeshow,
     ks_statistic,
     kuiper_statistic,
     make_ordering,
     parse_statistics,
-    pearson_chi2,
     residuals,
 )
+from logitgof.datamodel import default_grouping
 from logitgof.fitting import fit_batch
 from logitgof.statistics import _FAST_SORT_MIN_N, stable_argsort
 
@@ -112,8 +106,10 @@ class TestLabelGrammar:
             StatisticKind("hl", ordering=OrderingPolicy.BY_FULL_MU, groups=groups)
 
     # a label string where a kind belongs used to be accepted at
-    # construction and to die in an AttributeError during the run
-    @pytest.mark.parametrize("entry", ["plan", "config", "exact"])
+    # construction and to die in an AttributeError during the run;
+    # evaluate_batch used to return no column for no kinds, and a column
+    # for each copy of a repeated one
+    @pytest.mark.parametrize("entry", ["plan", "config", "exact", "batch"])
     @pytest.mark.parametrize("kinds, message", [
         (("deviance",), "a statistic is a StatisticKind, got 'deviance'"),
         ("deviance", "a statistic is a StatisticKind, got 'd'"),
@@ -127,6 +123,8 @@ class TestLabelGrammar:
             "config": lambda: ExperimentConfig("finney", "response", (), (), kinds),
             "exact": lambda: exact_pvalues(Dataset(d.y[:4], d.x[:4]), ModelSpec(), ModelSpec(),
                                            kinds),
+            "batch": lambda: evaluate_batch(kinds, np.zeros((1, 4)), np.full((1, 4), 0.5),
+                                            np.full((1, 4), 0.5)),
         }[entry]
         with pytest.raises(ConfigError, match=f"^{message}$"):
             build()
@@ -201,7 +199,7 @@ class TestStableArgsort:
         monkeypatch.setattr(stats, "stable_argsort", lambda k: calls.append(k.shape) or sort(k))
         key = np.array([0.2, 0.1, 0.1, 0.4])
         assert make_ordering(OrderingPolicy.BY_FULL_MU, mu_full=key).sigma.tolist() == [1, 2, 0, 3]
-        hosmer_lemeshow(np.array([0.0, 1, 0, 1]), key, key, GroupingScheme((2, 2)))
+        _value("hl:2:mu-full", [0, 1, 0, 1], key, key)
         mu = np.full((3, 4), 0.5)
         evaluate_batch(parse_statistics(["ks:mu-full"]), np.zeros((3, 4)), mu, mu)
         assert calls == [(1, 4), (1, 4), (3, 4)]
@@ -282,6 +280,14 @@ class TestPartialSumStatistics:
         assert a == b
 
 
+def _value(label, y, mu, mu_full=None):
+    """The statistic a label names, of one outcome vector y, through
+    evaluate_batch; mu_full defaults to mu, as when tested = full."""
+    mu = np.atleast_2d(mu)
+    mu_full = mu if mu_full is None else np.atleast_2d(mu_full)
+    return float(evaluate_batch(parse_statistics([label]), np.atleast_2d(y), mu, mu_full)[0, 0])
+
+
 _EMPTY = np.array([], dtype=np.float64)
 _EMPTY_ORDER = Ordering(np.array([], dtype=np.int64))
 
@@ -293,11 +299,11 @@ _EMPTY_ORDER = Ordering(np.array([], dtype=np.int64))
         lambda: ks_statistic(_EMPTY, _EMPTY_ORDER),
         lambda: kuiper_statistic(_EMPTY, _EMPTY_ORDER),
         lambda: half_abs_sum(_EMPTY),
-        lambda: deviance(_EMPTY, _EMPTY),
-        lambda: freeman_tukey(_EMPTY, _EMPTY),
-        lambda: pearson_chi2(_EMPTY, _EMPTY),
-        lambda: euclidean_sq(_EMPTY, _EMPTY),
-        lambda: hosmer_lemeshow(_EMPTY, _EMPTY, _EMPTY, GroupingScheme((1,))),
+        lambda: _value("deviance", _EMPTY, _EMPTY),
+        lambda: _value("freeman-tukey", _EMPTY, _EMPTY),
+        lambda: _value("pearson-chi2", _EMPTY, _EMPTY),
+        lambda: _value("euclidean", _EMPTY, _EMPTY),
+        lambda: _value("hl:2:mu-full", _EMPTY, _EMPTY),
     ],
     ids=["ks", "kuiper", "half-abs-sum", "deviance", "freeman-tukey", "pearson-chi2",
          "euclidean", "hl"],
@@ -307,42 +313,44 @@ def test_every_scalar_statistic_rejects_empty_input(call):
         call()
 
 
-# each used to read a value that is not 1 as 0, or (hl) to sum it as given:
-# deviance([2, 0], ...) equalled deviance([0, 0], ...)
+# evaluate_batch used to read a value that is not 1 as 0, or (hl) to sum it
+# as given: outcomes [2, 0] scored as [0, 0]
 @pytest.mark.parametrize(
-    "call, row",
+    "call, observation",
     [
-        (lambda: deviance([2, 0], [0.5, 0.5]), 1),
-        (lambda: freeman_tukey([0, -1, 1], [0.5, 0.5, 0.5]), 2),
-        (lambda: pearson_chi2([0.5, 1], [0.5, 0.5]), 1),
-        (lambda: euclidean_sq([1, 0, np.nan], [0.5, 0.5, 0.5]), 3),
-        (lambda: hosmer_lemeshow([0, 0, 0, 3], [0.5] * 4, [0.1, 0.2, 0.3, 0.4],
-                                 default_grouping(4, 2)), 4),
+        (lambda: _value("deviance", [2, 0], [0.5, 0.5]), 1),
+        (lambda: _value("freeman-tukey", [0, -1, 1], [0.5, 0.5, 0.5]), 2),
+        (lambda: _value("pearson-chi2", [0.5, 1], [0.5, 0.5]), 1),
+        (lambda: _value("euclidean", [1, 0, np.nan], [0.5, 0.5, 0.5]), 3),
+        (lambda: _value("hl:2:mu-full", [0, 0, 0, 3], [0.5] * 4, [0.1, 0.2, 0.3, 0.4]), 4),
     ],
     ids=["deviance", "freeman-tukey", "pearson-chi2", "euclidean", "hl"],
 )
-def test_every_scalar_statistic_rejects_non_binary_outcomes(call, row):
-    with pytest.raises(DataError, match=f"^non-binary dependent value at row {row}$"):
+def test_every_scalar_statistic_rejects_non_binary_outcomes(call, observation):
+    with pytest.raises(DataError, match=f"^non-binary outcome in row 1 at observation {observation}$"):
         call()
+
+
+_CELL_LABELS = ("deviance", "freeman-tukey", "pearson-chi2", "euclidean")
 
 
 class TestCellStatistics:
     def test_deviance_hand_case(self):
         # -2(ln .5 + ln .5) = 4 ln 2
-        got = deviance(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+        got = _value("deviance", [1.0, 0.0], [0.5, 0.5])
         assert abs(got - 4 * math.log(2)) < 1e-14
 
     def test_outcome_and_mean_lengths_must_agree(self):
-        with pytest.raises(DataError, match="y 3, mu 2"):
-            deviance([0, 1, 1], [0.5, 0.5])
+        with pytest.raises(DataError, match=r"Y \(1, 3\), mu_tested \(1, 2\), mu_full \(1, 2\)$"):
+            _value("deviance", [0, 1, 1], [0.5, 0.5])
 
     def test_freeman_tukey_hand_case(self):
         # cells (1-sqrt(.5))^2 and .5 sum to 2-sqrt(2); times 4
-        got = freeman_tukey(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+        got = _value("freeman-tukey", [1.0, 0.0], [0.5, 0.5])
         assert abs(got - 4 * (2 - math.sqrt(2))) < 1e-14
 
     def test_pearson_hand_case(self):
-        got = pearson_chi2(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+        got = _value("pearson-chi2", [1.0, 0.0], [0.5, 0.5])
         assert got == 2.0
 
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 60))
@@ -352,10 +360,10 @@ class TestCellStatistics:
         if y.sum() in (0, n):
             return
         mu = np.full(n, y.mean())
-        assert abs(pearson_chi2(y, mu) - n) < 1e-9 * n
+        assert abs(_value("pearson-chi2", y, mu) - n) < 1e-9 * n
 
     def test_euclidean_hand_case(self):
-        assert euclidean_sq(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == 0.5
+        assert _value("euclidean", [1.0, 0.0], [0.5, 0.5]) == 0.5
 
     @given(seed=st.integers(0, 10_000))
     def test_euclidean_at_most_quarter_of_pearson(self, seed):
@@ -363,7 +371,7 @@ class TestCellStatistics:
         n = 30
         y = (rng.random(n) < 0.5).astype(float)
         mu = rng.uniform(0.05, 0.95, size=n)
-        assert euclidean_sq(y, mu) <= pearson_chi2(y, mu) / 4 + 1e-12
+        assert _value("euclidean", y, mu) <= _value("pearson-chi2", y, mu) / 4 + 1e-12
 
     @given(seed=st.integers(0, 10_000))
     def test_all_statistics_nonnegative_and_zero_at_perfect_fit(self, seed):
@@ -371,12 +379,12 @@ class TestCellStatistics:
         n = 25
         y = (rng.random(n) < 0.5).astype(float)
         mu = rng.uniform(0.05, 0.95, size=n)
-        for f in (deviance, freeman_tukey, pearson_chi2, euclidean_sq):
-            assert f(y, mu) >= 0.0
+        for label in _CELL_LABELS:
+            assert _value(label, y, mu) >= 0.0
         # means clamped at the working boundary on top of the matching outcome
         mu_perfect = np.where(y == 1.0, 1.0 - 1e-10, 1e-10)
-        for f in (deviance, freeman_tukey, pearson_chi2, euclidean_sq):
-            assert f(y, mu_perfect) < 1e-7
+        for label in _CELL_LABELS:
+            assert _value(label, y, mu_perfect) < 1e-7
 
 
 class TestHosmerLemeshow:
@@ -385,22 +393,22 @@ class TestHosmerLemeshow:
         y = np.array([1.0, 1.0, 0.0, 0.0])
         mu = np.full(4, 0.5)
         key = np.array([0.1, 0.2, 0.3, 0.4])
-        got = hosmer_lemeshow(y, mu, key, GroupingScheme((2, 2)))
+        got = _value("hl:2:mu-full", y, mu, key)
         assert got == 4.0
 
     def test_perfectly_calibrated_group_scores_zero(self):
-        y = np.array([1.0] * 5 + [0.0] * 5)
-        mu = np.full(10, 0.5)
-        got = hosmer_lemeshow(y, mu, mu, GroupingScheme((10,)))
+        y = np.array([1.0, 0.0] * 4)
+        mu = np.full(8, 0.5)
+        got = _value("hl:2:mu-tested", y, mu)
         assert got == 0.0
 
     def test_grouping_by_key_reorders_observations(self):
         y = np.array([1.0, 0.0, 1.0, 0.0])
         mu = np.array([0.9, 0.1, 0.8, 0.2])
         # blocks pairing each 1 with a 0 are perfectly calibrated
-        paired = hosmer_lemeshow(y, mu, np.array([0.1, 0.2, 0.3, 0.4]), GroupingScheme((2, 2)))
+        paired = _value("hl:2:mu-full", y, mu, [0.1, 0.2, 0.3, 0.4])
         # blocks collecting the ones together are not
-        split = hosmer_lemeshow(y, mu, np.array([0.1, 0.3, 0.2, 0.4]), GroupingScheme((2, 2)))
+        split = _value("hl:2:mu-full", y, mu, [0.1, 0.3, 0.2, 0.4])
         assert paired == 0.0
         assert split > 0.5
 
@@ -408,7 +416,7 @@ class TestHosmerLemeshow:
         y = np.array([0.0, 0.0, 1.0, 0.0])
         mu = np.array([0.0, 0.0, 0.5, 0.5])
         key = np.array([0.1, 0.2, 0.3, 0.4])
-        got = hosmer_lemeshow(y, mu, key, GroupingScheme((2, 2)))
+        got = _value("hl:2:mu-full", y, mu, key)
         # first group is all-zero expectation with a zero count; second is
         # (1-1)^2 over 1*(1-1/2)
         assert got == 0.0
@@ -417,17 +425,19 @@ class TestHosmerLemeshow:
         y = np.array([1.0, 0.0, 1.0, 0.0])
         mu = np.array([0.0, 0.0, 0.5, 0.5])
         key = np.array([0.1, 0.2, 0.3, 0.4])
-        got = hosmer_lemeshow(y, mu, key, GroupingScheme((2, 2)))
+        got = _value("hl:2:mu-full", y, mu, key)
         assert got == np.inf
 
-    def test_length_mismatch_is_an_error(self):
-        with pytest.raises(ConfigError, match="observations"):
-            hosmer_lemeshow(np.zeros(4), np.full(4, 0.5), np.full(4, 0.5), GroupingScheme((2,)))
-
     def test_mean_lengths_must_match_the_outcomes(self):
-        with pytest.raises(DataError, match="y 4, mu_for_value 3, mu_for_grouping 4"):
-            hosmer_lemeshow([0, 1, 1, 0], [0.5, 0.5, 0.5], [0.2, 0.3, 0.4, 0.5],
-                            default_grouping(4, 2))
+        # a mean vector of another shape used to be read anyway where the
+        # kinds did not use it, or to fail inside numpy where they did
+        y, mu = [0, 1, 1, 0], [0.2, 0.3, 0.4, 0.5]
+        with pytest.raises(DataError, match=r"^shapes differ: Y \(1, 4\), mu_tested \(1, 3\), mu_full \(1, 4\)$"):
+            _value("hl:2:mu-full", y, mu[:3], mu)
+        with pytest.raises(DataError, match=r"mu_full \(1, 3\)$"):
+            _value("deviance", y, mu, mu[:3])
+        with pytest.raises(DataError, match=r"^outcomes must form a \(B, n\) array, got shape \(4,\)$"):
+            evaluate_batch(parse_statistics(["deviance"]), np.array(y), np.array(mu), np.array(mu))
 
 
 class TestTieMachinery:
@@ -442,8 +452,9 @@ class TestTieMachinery:
         y = (rng.random(n) < 0.5).astype(float)
         mu = rng.uniform(0.01, 0.99, size=n)
         perm = rng.permutation(n)
-        for f in (deviance, freeman_tukey, pearson_chi2, euclidean_sq):
-            assert f(y, mu) == f(y[perm], mu[perm])
+        Y, M = np.stack([y, y[perm]]), np.stack([mu, mu[perm]])
+        vals = evaluate_batch(parse_statistics(_CELL_LABELS), Y, M, M)
+        assert np.array_equal(vals[0], vals[1])
 
     def test_complementary_intercept_classes_tie_bitwise(self):
         # 19 ones vs 20 ones on 39 observations: complementary outcome
@@ -516,16 +527,6 @@ class TestEvaluateBatch:
             r, make_ordering(OrderingPolicy.BY_FULL_MU, mu_full=full.mu)
         )
         assert by_label["half-abs-sum"] == half_abs_sum(r)
-        assert by_label["deviance"] == deviance(y, tested.mu)
-        assert by_label["freeman-tukey"] == freeman_tukey(y, tested.mu)
-        assert by_label["pearson-chi2"] == pearson_chi2(y, tested.mu)
-        assert by_label["euclidean"] == euclidean_sq(y, tested.mu)
-        assert by_label["hl:3:mu-full"] == hosmer_lemeshow(
-            y, tested.mu, full.mu, default_grouping(d.n, 3)
-        )
-        assert by_label["hl:5:mu-tested"] == hosmer_lemeshow(
-            y, tested.mu, tested.mu, default_grouping(d.n, 5)
-        )
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_leaves_its_inputs_unchanged(self, finney_dataset, shared):
@@ -541,6 +542,12 @@ class TestEvaluateBatch:
         before = [a.tobytes() for a in (Y, mu_t, mu_f)]
         evaluate_batch(parse_statistics(ALL_LABELS), Y, mu_t, mu_f)
         assert [a.tobytes() for a in (Y, mu_t, mu_f)] == before
+
+    def test_names_the_first_non_binary_outcome(self):
+        Y = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.5], [2.0, 0.0, 1.0]])
+        mu = np.full(Y.shape, 0.5)
+        with pytest.raises(DataError, match="^non-binary outcome in row 2 at observation 3$"):
+            evaluate_batch(parse_statistics(["ks:mu-full"]), Y, mu, mu)
 
     def test_rows_independent_of_batch_size(self, finney_dataset):
         d = finney_dataset
@@ -667,7 +674,7 @@ def ref_evaluate_batch(kinds, Y, mu_tested, mu_full):
         elif kind.family == "euclidean":
             vals = ref_euclidean_batch(Y, mu_tested)
         else:
-            sizes = default_grouping(n, kind.groups).sizes
+            sizes = default_grouping(n, kind.groups)
             vals = ref_hl_batch(Y, mu_tested, order_for(kind.ordering), sizes)
         out[:, col] = vals
     return out
